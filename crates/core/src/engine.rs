@@ -15,8 +15,9 @@
 //!   [`crate::AdmgSolver`] workspace and [`WorkerPool`];
 //! * **lockstep message-passing** (`ufc_distsim`): deterministic rounds
 //!   over explicit messages, with optional loss and fault injection;
-//! * **supervised threaded** (`ufc_distsim`): one OS thread per node over
-//!   mpsc channels, driven by a supervising coordinator.
+//! * **supervised** (`ufc_distsim`): a supervising coordinator driving one
+//!   worker per node over the checksummed wire protocol — worker threads
+//!   over in-memory pipes (`Runtime::Threaded`) or OS processes over TCP.
 //!
 //! Every transport must preserve the numerical contract bit-for-bit:
 //! parallel ≡ sequential, cached ≡ fresh, lockstep ≡ threaded, and

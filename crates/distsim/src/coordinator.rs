@@ -4,9 +4,10 @@
 //! (with loss retransmission and partition relay accounting), plan-driven
 //! straggler charging, residual reduction, replay-history filtering, and
 //! the final gather→polish step. The lockstep engine
-//! (`crate::engine_lockstep`) and the supervised threaded engine
-//! (`crate::engine_threaded`) both call into these, so the two runtimes
-//! stay decision-for-decision identical by construction.
+//! (`crate::engine_lockstep`) and the supervised coordinator
+//! (`crate::engine_socket`, behind both `Runtime::Threaded` and the socket
+//! runtime) both call into these, so the engines stay
+//! decision-for-decision identical by construction.
 
 use ufc_core::engine::BlockResiduals;
 use ufc_core::repair::assemble_point;

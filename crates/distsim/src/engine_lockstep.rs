@@ -334,7 +334,8 @@ impl Transport for LockstepTransport<'_> {
             }
         }
         // Gather in index order so a poisoned iterate surfaces as the
-        // lowest-indexed node's typed error, matching the threaded engine.
+        // lowest-indexed node's typed error, matching the supervised
+        // coordinator.
         let mut rows = self
             .pool
             .map_mut(&mut self.frontends, |_, fe| fe.predict_lambda())

@@ -1,22 +1,28 @@
-//! The multi-process socket engine as a `Transport` for the unified ADM-G
-//! driver (`ufc_core::engine::drive`).
+//! The supervised coordinator as a `Transport` for the unified ADM-G
+//! driver (`ufc_core::engine::drive`) — the one runtime behind both
+//! `DistributedAdmg::run_sockets*` and `Runtime::Threaded`.
 //!
-//! Each worker is a real OS process (the `ufc-node` binary, running
-//! [`crate::worker::run_worker`]) connected to the coordinator over TCP —
-//! loopback by default, or any [`crate::wire::BindConfig`] listen address
-//! when a shared [`crate::wire::AuthKey`] is configured. The coordinator
-//! accepts connections on a background acceptor thread, validates the
-//! handshake (a `Hello` session check on loopback; a challenge–response
+//! Each worker unit runs the session loop of [`crate::worker`] and talks
+//! to the coordinator in wire frames over a [`Link`]. The socket runtime
+//! hosts the units as real OS processes (the `ufc-node` binary, running
+//! [`crate::worker::run_worker`]) connected over TCP — loopback by
+//! default, or any [`crate::wire::BindConfig`] listen address when a
+//! shared [`crate::wire::AuthKey`] is configured. `Runtime::Threaded`
+//! hosts them as in-process threads dialling in-memory pipes
+//! ([`crate::pipe`]), so it spawns no process and opens no socket, yet
+//! every command, reply, snapshot and `Welcome` still goes through the
+//! real frame encoding, CRC check and [`crate::wire::FrameBuffer`]
+//! reassembly. [`Host`] is the only place the two differ.
+//!
+//! The coordinator accepts connections on a background acceptor thread,
+//! validates the handshake (a `Hello` session check; a challenge–response
 //! keyed MAC when authentication is on — see DESIGN.md §17), answers with
 //! the serialized run configuration, and spawns one I/O pump thread per
-//! connection that reassembles wire frames ([`crate::wire::FrameBuffer`])
-//! and feeds decoded replies into the same mpsc channel the threaded
-//! engine's `gather_phase` ladder drains — the deadline ladder, fault
-//! tracker, checkpoint store, and replay buffer are shared with
-//! `crate::engine_threaded` verbatim. A hostile peer (wrong key, replayed
-//! or truncated handshake, downgrade attempt) is dropped before any
-//! iteration state is exchanged and the acceptor keeps serving honest
-//! workers.
+//! connection that reassembles wire frames and feeds decoded replies into
+//! the mpsc channel the `gather_phase` deadline ladder drains. A hostile
+//! peer (wrong key, replayed or truncated handshake, downgrade attempt) is
+//! dropped before any iteration state is exchanged and the acceptor keeps
+//! serving honest workers.
 //!
 //! A [`crate::fault::CorruptionConfig`] pinned to a wire-level
 //! [`crate::fault::CorruptionKind`] arms seeded [`WireChaos`] interceptors
@@ -30,21 +36,22 @@
 //! bit-identical to a clean run while every injection is counted and
 //! detected.
 //!
-//! Faults here are real: a scripted crash is a `SIGKILL` delivered to the
-//! live worker process mid-iteration (`Child::kill`), a partition window
-//! tears down the affected TCP connections so the workers must
-//! reconnect-with-backoff, and liveness is `Child::try_wait` — the actual
-//! OS process table, not a thread flag. Recovery is the same
-//! checkpoint-restart protocol: the ladder declares the silent process
-//! dead, [`crate::fault::FaultTracker`] decides respawn-vs-evict, and a
-//! respawned process is rebuilt from the last verified snapshot
-//! ([`crate::wire::NodeCmd::Restore`]) plus input replay, bit-identical to
-//! the state the killed process would have held.
+//! Faults are delivered to the host: a scripted crash is a `SIGKILL` to
+//! the live worker process mid-iteration (`Child::kill`), or, for a worker
+//! thread, a severed pipe whose redial is refused so the thread exits
+//! silently; a partition window tears down the affected links so the
+//! workers must redial; and liveness is the host's own view —
+//! `Child::try_wait` on the OS process table, `JoinHandle::is_finished`
+//! for a thread. Recovery is the checkpoint-restart protocol: the ladder
+//! declares the silent unit dead, [`crate::fault::FaultTracker`] decides
+//! respawn-vs-evict, and a respawned unit is rebuilt from the last
+//! verified snapshot ([`crate::wire::NodeCmd::Restore`]) plus input
+//! replay, bit-identical to the state the killed unit would have held.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
-use std::io::{ErrorKind, Read};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,6 +75,7 @@ use crate::fault::{
 };
 use crate::message::Message;
 use crate::node::{DatacenterNode, NodeResiduals};
+use crate::pipe::{Link, PipeConnector};
 use crate::rng::SplitMix64;
 use crate::runtime::{DistRunReport, SocketOptions};
 use crate::snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
@@ -76,6 +84,7 @@ use crate::supervision::{gather_phase, Reply};
 use crate::wire::{
     process_of, sha256, verify_auth_hello, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
 };
+use crate::worker::serve;
 
 /// How long the coordinator waits for a spawned worker to complete the
 /// `Hello`/`Welcome` handshake before declaring the spawn failed. Covers
@@ -86,8 +95,10 @@ const REGISTRATION_DEADLINE: Duration = Duration::from_secs(10);
 /// coordinator falls back to `SIGKILL` at teardown.
 const EXIT_GRACE: Duration = Duration::from_secs(2);
 
-/// Runs the socket engine under a fault plan. A trivial plan reduces to
-/// the clean multi-process runtime: no kills, no drops, and a report
+/// Runs the supervised engine under a fault plan, hosting the workers as
+/// OS processes per `options`, or as in-process threads over in-memory
+/// pipes when `options` is `None` (`Runtime::Threaded`). A trivial plan
+/// reduces to the clean runtime: no kills, no drops, and a report
 /// bit-identical to the lockstep engine's.
 pub(crate) fn run_socket_engine(
     settings: &AdmgSettings,
@@ -95,7 +106,7 @@ pub(crate) fn run_socket_engine(
     active_mu: bool,
     active_nu: bool,
     plan: FaultPlan,
-    options: &SocketOptions,
+    options: Option<&SocketOptions>,
     observer: &mut dyn IterationObserver,
 ) -> Result<DistRunReport, CoreError> {
     let tolerances = settings.scaled_tolerances(instance);
@@ -113,7 +124,7 @@ pub(crate) fn run_socket_engine(
             .map(|(lambda_rows, mu, d)| (outcome, lambda_rows, mu, d))
     });
     // Extract everything the report needs before the supervisor is consumed
-    // by shutdown; the error path still tears down every worker process.
+    // by shutdown; the error path still tears down every worker.
     let stats = sup.stats;
     let fault_report = sup.tracker.report.clone();
     let plan_trivial = sup.tracker.plan().is_trivial();
@@ -153,8 +164,8 @@ pub(crate) fn run_socket_engine(
     let report_fault = !plan_trivial || fault_report.checkpoints_taken > 0;
     let telemetry = collector.map(|c| {
         let mut t = c.into_telemetry();
-        // Solver counters stay zero: the per-node kernels live in other OS
-        // processes. Use the lockstep engine (bit-identical) to observe the
+        // Solver counters stay zero: the per-node kernels live in the
+        // workers. Use the lockstep engine (bit-identical) to observe the
         // solver layer.
         t.traffic = Some(TrafficCounters {
             data_messages: stats.data_messages as u64,
@@ -188,7 +199,7 @@ pub(crate) fn run_socket_engine(
 struct Registration {
     process: usize,
     incarnation: u32,
-    stream: TcpStream,
+    stream: Link,
     pump: JoinHandle<()>,
 }
 
@@ -239,7 +250,172 @@ struct PumpWire {
     max_retransmits: u32,
 }
 
-/// The supervising coordinator of the multi-process runtime.
+/// Where the worker units run — the only difference between the socket
+/// runtime and `Runtime::Threaded`.
+enum Host {
+    /// `ufc-node` OS processes dialling the coordinator's TCP listener.
+    Processes {
+        worker: PathBuf,
+        /// Address the workers are told to connect to.
+        addr: String,
+        /// `--auth-key` forwarded to spawned workers when the transport
+        /// is authenticated.
+        auth_hex: Option<String>,
+        /// Tells the acceptor loop to exit once `accept()` is woken.
+        stop: Arc<AtomicBool>,
+        units: Vec<Option<Child>>,
+    },
+    /// In-process threads running the worker loop over in-memory pipes.
+    Threads {
+        connector: PipeConnector,
+        units: Vec<Option<JoinHandle<()>>>,
+    },
+}
+
+impl Host {
+    /// Starts unit `p` at `incarnation`; it registers asynchronously via
+    /// the acceptor.
+    fn spawn(&mut self, p: usize, session: u64, incarnation: u32) -> Result<(), CoreError> {
+        match self {
+            Host::Processes {
+                worker,
+                addr,
+                auth_hex,
+                units,
+                ..
+            } => {
+                let mut command = Command::new(&*worker);
+                command
+                    .arg("--connect")
+                    .arg(&*addr)
+                    .arg("--process")
+                    .arg(p.to_string())
+                    .arg("--session")
+                    .arg(session.to_string())
+                    .arg("--incarnation")
+                    .arg(incarnation.to_string());
+                if let Some(hex) = auth_hex {
+                    command.arg("--auth-key").arg(hex);
+                }
+                let child = command
+                    .stdin(Stdio::null())
+                    .stdout(Stdio::null())
+                    .spawn()
+                    .map_err(|e| {
+                        CoreError::node_failure(
+                            format!("process-{p}"),
+                            0,
+                            format!("cannot spawn {}: {e}", worker.display()),
+                        )
+                    })?;
+                units[p] = Some(child);
+            }
+            Host::Threads { connector, units } => {
+                connector.admit(p, incarnation);
+                let dialer = connector.clone();
+                let handle = std::thread::spawn(move || {
+                    // A worker thread's exit status is its silence, exactly
+                    // as for a worker process.
+                    let _ = serve(
+                        &|| dialer.dial(p, incarnation),
+                        p,
+                        session,
+                        incarnation,
+                        None,
+                    );
+                });
+                units[p] = Some(handle);
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether unit `p` is still running.
+    fn alive(&mut self, p: usize) -> bool {
+        match self {
+            Host::Processes { units, .. } => units[p]
+                .as_mut()
+                .is_some_and(|child| matches!(child.try_wait(), Ok(None))),
+            Host::Threads { units, .. } => units[p].as_ref().is_some_and(|h| !h.is_finished()),
+        }
+    }
+
+    /// Kills unit `p` and reaps it: a real `SIGKILL` for a process; for a
+    /// thread, a severed pipe plus a refused redial, after which the
+    /// worker loop returns on its own.
+    fn kill(&mut self, p: usize) {
+        match self {
+            Host::Processes { units, .. } => {
+                if let Some(mut child) = units[p].take() {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
+            }
+            Host::Threads { connector, units } => {
+                connector.sever(p);
+                if let Some(handle) = units[p].take() {
+                    let _ = handle.join();
+                }
+            }
+        }
+    }
+
+    /// Makes the acceptor loop return.
+    fn stop_acceptor(&self) {
+        match self {
+            Host::Processes { addr, stop, .. } => {
+                stop.store(true, Ordering::SeqCst);
+                // The acceptor is blocked in accept(); poke it awake.
+                let _ = TcpStream::connect(addr);
+            }
+            Host::Threads { connector, .. } => connector.close(),
+        }
+    }
+
+    /// Reaps every unit at teardown: a bounded wait for each process with
+    /// `SIGKILL` as the backstop, or a join of each (severed) thread.
+    fn reap(&mut self) -> Result<(), CoreError> {
+        match self {
+            Host::Processes { units, .. } => {
+                let deadline = Instant::now() + EXIT_GRACE;
+                for mut child in units.iter_mut().filter_map(Option::take) {
+                    loop {
+                        match child.try_wait() {
+                            Ok(Some(_)) => break,
+                            Ok(None) if Instant::now() < deadline => {
+                                std::thread::sleep(Duration::from_millis(10));
+                            }
+                            _ => {
+                                let _ = child.kill();
+                                let _ = child.wait();
+                                break;
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Host::Threads { connector, units } => {
+                let mut first_panic = None;
+                for (p, slot) in units.iter_mut().enumerate() {
+                    connector.sever(p);
+                    if let Some(handle) = slot.take() {
+                        if handle.join().is_err() && first_panic.is_none() {
+                            first_panic = Some(CoreError::node_failure(
+                                format!("process-{p}"),
+                                0,
+                                "worker thread panicked",
+                            ));
+                        }
+                    }
+                }
+                first_panic.map_or(Ok(()), Err)
+            }
+        }
+    }
+}
+
+/// The supervising coordinator.
 struct SocketSupervisor<'a> {
     instance: &'a UfcInstance,
     settings: AdmgSettings,
@@ -248,25 +424,22 @@ struct SocketSupervisor<'a> {
     m: usize,
     n: usize,
     processes: usize,
-    worker_path: PathBuf,
-    addr: String,
     session: u64,
     tracker: FaultTracker,
     store: CheckpointStore,
     history: Vec<HistoryEntry>,
     reply_rx: Receiver<Reply>,
     reg_rx: Receiver<Registration>,
-    /// Live worker processes, one slot per process index. `RefCell`
-    /// because liveness probing (`try_wait`) needs `&mut Child` from
-    /// inside the gather ladder's `Fn` closure.
-    children: Vec<RefCell<Option<Child>>>,
-    /// Command streams to the workers (`None` while a worker is down or
-    /// its connection is dropped).
-    conns: Vec<Option<TcpStream>>,
+    /// The worker units, one slot per process index. `RefCell` because
+    /// liveness probing (`Child::try_wait`) needs `&mut` from inside the
+    /// gather ladder's `Fn` closure.
+    host: RefCell<Host>,
+    /// Command links to the workers (`None` while a worker is down or its
+    /// connection is dropped).
+    conns: Vec<Option<Link>>,
     incarnations: Vec<u32>,
     pumps: Vec<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
-    acceptor_stop: Arc<AtomicBool>,
     /// Scripted kill-iterations per global node id, consumed as they fire.
     remaining_crashes: Vec<Vec<usize>>,
     stats: MessageStats,
@@ -280,13 +453,7 @@ struct SocketSupervisor<'a> {
     /// Chaos counters + error slot shared with the pumps; `Some` iff a
     /// wire-level corruption kind is armed.
     wire_shared: Option<Arc<WireShared>>,
-    /// `--auth-key` forwarded to spawned workers when the transport is
-    /// authenticated.
-    auth_hex: Option<String>,
     suspect: Option<NodeId>,
-    timeout: Duration,
-    rounds: u32,
-    checkpoint_interval: usize,
     stall_phases: f64,
     // Per-iteration scratch, produced by one phase and consumed by the next.
     rows: Vec<Vec<f64>>,
@@ -304,14 +471,13 @@ impl<'a> SocketSupervisor<'a> {
         active_mu: bool,
         active_nu: bool,
         plan: FaultPlan,
-        options: &SocketOptions,
+        options: Option<&SocketOptions>,
     ) -> Result<Self, CoreError> {
         let m = instance.m_frontends();
         let n = instance.n_datacenters();
-        let processes = if options.processes == 0 {
-            m + n
-        } else {
-            options.processes
+        let processes = match options {
+            Some(options) if options.processes != 0 => options.processes,
+            _ => m + n,
         };
         if processes > m + n {
             return Err(CoreError::invalid_config(format!(
@@ -349,20 +515,6 @@ impl<'a> SocketSupervisor<'a> {
                 ));
             }
         }
-        if !options.bind.is_loopback() && options.auth.is_none() {
-            return Err(CoreError::invalid_config(format!(
-                "refusing to listen on non-loopback {:?} without a shared \
-                 authentication key (SocketOptions::with_auth)",
-                options.bind.listen
-            )));
-        }
-        let listener = TcpListener::bind(&options.bind.listen)
-            .map_err(|e| CoreError::node_failure("coordinator", 0, format!("bind: {e}")))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| CoreError::node_failure("coordinator", 0, format!("local_addr: {e}")))?
-            .to_string();
-        let addr = options.bind.advertise.clone().unwrap_or(local);
         let session = session_id();
         let config_bytes = RunConfig {
             instance: instance.clone(),
@@ -394,37 +546,77 @@ impl<'a> SocketSupervisor<'a> {
                 ))
             })
             .collect();
+        let state = AcceptorState {
+            session,
+            welcome,
+            config_digest,
+            auth: options.and_then(|options| options.auth.clone()),
+            wire: wire_shared.as_ref().map(|shared| WireIngressSetup {
+                corruption: plan.corruption.expect("wire kind implies corruption"),
+                shared: Arc::clone(shared),
+                last_sent: last_sent.clone(),
+            }),
+        };
         let (reply_tx, reply_rx) = channel::<Reply>();
         let (reg_tx, reg_rx) = channel::<Registration>();
-        let acceptor_stop = Arc::new(AtomicBool::new(false));
-        let acceptor = spawn_acceptor(
-            listener,
-            AcceptorState {
-                session,
-                welcome,
-                config_digest,
-                auth: options.auth.clone(),
-                wire: wire_shared.as_ref().map(|shared| WireIngressSetup {
-                    corruption: plan.corruption.expect("wire kind implies corruption"),
-                    shared: Arc::clone(shared),
-                    last_sent: last_sent.clone(),
-                }),
-            },
-            reply_tx,
-            reg_tx,
-            Arc::clone(&acceptor_stop),
-        );
-        let timeout = plan.phase_timeout;
-        let rounds = plan.backoff_rounds;
-        let checkpoint_interval = plan.checkpoint_interval;
+        let (host, acceptor) = match options {
+            Some(options) => {
+                if !options.bind.is_loopback() && options.auth.is_none() {
+                    return Err(CoreError::invalid_config(format!(
+                        "refusing to listen on non-loopback {:?} without a shared \
+                         authentication key (SocketOptions::with_auth)",
+                        options.bind.listen
+                    )));
+                }
+                let listener = TcpListener::bind(&options.bind.listen)
+                    .map_err(|e| CoreError::node_failure("coordinator", 0, format!("bind: {e}")))?;
+                let local = listener
+                    .local_addr()
+                    .map_err(|e| {
+                        CoreError::node_failure("coordinator", 0, format!("local_addr: {e}"))
+                    })?
+                    .to_string();
+                let stop = Arc::new(AtomicBool::new(false));
+                let stopped = Arc::clone(&stop);
+                let accept = move || loop {
+                    if stopped.load(Ordering::SeqCst) {
+                        return None;
+                    }
+                    let Ok((stream, _)) = listener.accept() else {
+                        continue;
+                    };
+                    if stopped.load(Ordering::SeqCst) {
+                        return None;
+                    }
+                    if stream.set_nodelay(true).is_ok() {
+                        return Some(Link::Tcp(stream));
+                    }
+                };
+                let host = Host::Processes {
+                    worker: options.worker.clone(),
+                    addr: options.bind.advertise.clone().unwrap_or(local),
+                    auth_hex: options.auth.as_ref().map(AuthKey::to_hex),
+                    stop,
+                    units: (0..processes).map(|_| None).collect(),
+                };
+                (host, spawn_acceptor(accept, state, reply_tx, reg_tx))
+            }
+            None => {
+                let (connector, accepted) = PipeConnector::new(processes);
+                let accept = move || accepted.recv().ok().map(Link::Pipe);
+                let host = Host::Threads {
+                    connector,
+                    units: (0..processes).map(|_| None).collect(),
+                };
+                (host, spawn_acceptor(accept, state, reply_tx, reg_tx))
+            }
+        };
         let integrity = IntegrityState::new(plan.corruption.as_ref(), settings.verify_checksums);
-        let mut remaining_crashes = Vec::with_capacity(m + n);
-        for i in 0..m {
-            remaining_crashes.push(plan.crash_iterations_for(NodeId::Frontend(i)));
-        }
-        for j in 0..n {
-            remaining_crashes.push(plan.crash_iterations_for(NodeId::Datacenter(j)));
-        }
+        let remaining_crashes = (0..m)
+            .map(NodeId::Frontend)
+            .chain((0..n).map(NodeId::Datacenter))
+            .map(|node| plan.crash_iterations_for(node))
+            .collect();
         let mut sup = SocketSupervisor {
             instance,
             settings,
@@ -433,31 +625,24 @@ impl<'a> SocketSupervisor<'a> {
             m,
             n,
             processes,
-            worker_path: options.worker.clone(),
-            addr,
             session,
             tracker: FaultTracker::new(plan, m, n),
             store: CheckpointStore::new(m, n),
             history: Vec::new(),
             reply_rx,
             reg_rx,
-            children: (0..processes).map(|_| RefCell::new(None)).collect(),
+            host: RefCell::new(host),
             conns: (0..processes).map(|_| None).collect(),
             incarnations: vec![0; processes],
             pumps: Vec::new(),
             acceptor: Some(acceptor),
-            acceptor_stop,
             remaining_crashes,
             stats: MessageStats::default(),
             integrity,
             egress_chaos,
             last_sent,
             wire_shared,
-            auth_hex: options.auth.as_ref().map(AuthKey::to_hex),
             suspect: None,
-            timeout,
-            rounds,
-            checkpoint_interval,
             stall_phases: 0.0,
             rows: Vec::new(),
             a_cols: Vec::new(),
@@ -466,44 +651,23 @@ impl<'a> SocketSupervisor<'a> {
             membership_changed: false,
             node_count: m + n,
         };
-        for p in 0..processes {
-            sup.spawn_process(p)?;
+        let started = (0..processes)
+            .try_for_each(|p| sup.spawn_unit(p))
+            .and_then(|()| (0..processes).try_for_each(|p| sup.await_registration(p)));
+        match started {
+            Ok(()) => Ok(sup),
+            Err(e) => {
+                let _ = sup.shutdown();
+                Err(e)
+            }
         }
-        for p in 0..processes {
-            sup.await_registration(p)?;
-        }
-        Ok(sup)
     }
 
-    /// Launches the worker binary for process slot `p` at its current
-    /// incarnation. Registration happens asynchronously via the acceptor.
-    fn spawn_process(&mut self, p: usize) -> Result<(), CoreError> {
-        let mut command = Command::new(&self.worker_path);
-        command
-            .arg("--connect")
-            .arg(&self.addr)
-            .arg("--process")
-            .arg(p.to_string())
-            .arg("--session")
-            .arg(self.session.to_string())
-            .arg("--incarnation")
-            .arg(self.incarnations[p].to_string());
-        if let Some(hex) = &self.auth_hex {
-            command.arg("--auth-key").arg(hex);
-        }
-        let child = command
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()
-            .map_err(|e| {
-                CoreError::node_failure(
-                    format!("process-{p}"),
-                    0,
-                    format!("cannot spawn {}: {e}", self.worker_path.display()),
-                )
-            })?;
-        *self.children[p].borrow_mut() = Some(child);
-        Ok(())
+    /// Starts the unit for process slot `p` at its current incarnation.
+    /// Registration happens asynchronously via the acceptor.
+    fn spawn_unit(&mut self, p: usize) -> Result<(), CoreError> {
+        let (session, incarnation) = (self.session, self.incarnations[p]);
+        self.host.get_mut().spawn(p, session, incarnation)
     }
 
     /// Blocks until process `p` (at its current incarnation) completes the
@@ -511,24 +675,17 @@ impl<'a> SocketSupervisor<'a> {
     fn await_registration(&mut self, p: usize) -> Result<(), CoreError> {
         let deadline = Instant::now() + REGISTRATION_DEADLINE;
         while self.conns[p].is_none() {
+            // `recv_timeout` drains a queued registration even at a zero
+            // remaining budget.
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CoreError::node_failure(
+            let reg = self.reg_rx.recv_timeout(remaining).map_err(|_| {
+                CoreError::node_failure(
                     format!("process-{p}"),
                     0,
                     "worker did not complete the handshake before the deadline",
-                ));
-            }
-            match self.reg_rx.recv_timeout(remaining) {
-                Ok(reg) => self.install_registration(reg),
-                Err(_) => {
-                    return Err(CoreError::node_failure(
-                        format!("process-{p}"),
-                        0,
-                        "worker did not complete the handshake before the deadline",
-                    ))
-                }
-            }
+                )
+            })?;
+            self.install_registration(reg);
         }
         Ok(())
     }
@@ -537,13 +694,12 @@ impl<'a> SocketSupervisor<'a> {
     /// incarnation of a process we have since killed and respawned, or a
     /// straggler arriving after shutdown drained the connection table).
     fn install_registration(&mut self, reg: Registration) {
-        if reg.process >= self.conns.len() || reg.incarnation != self.incarnations[reg.process] {
-            self.pumps.push(reg.pump);
-            let _ = reg.stream.shutdown(Shutdown::Both);
-            return;
-        }
-        self.conns[reg.process] = Some(reg.stream);
         self.pumps.push(reg.pump);
+        if reg.process >= self.conns.len() || reg.incarnation != self.incarnations[reg.process] {
+            reg.stream.shutdown();
+        } else {
+            self.conns[reg.process] = Some(reg.stream);
+        }
     }
 
     /// Installs any registrations already queued (reconnects after a
@@ -585,14 +741,13 @@ impl<'a> SocketSupervisor<'a> {
                     }
                 }
             }
-            let mut writer: &TcpStream = conn;
             for _ in 0..copies {
-                let _ = std::io::Write::write_all(&mut writer, &bytes);
+                let _ = conn.write_all(&bytes);
             }
         }
     }
 
-    /// Liveness straight from the OS process table — unless a pump parked
+    /// Liveness straight from the host — unless a pump parked
     /// a typed wire error (retransmit budget exhausted), in which case the
     /// node is reported dead so the gather ladder stops extending for a
     /// connection that will never deliver and the typed error surfaces.
@@ -604,51 +759,36 @@ impl<'a> SocketSupervisor<'a> {
         {
             return false;
         }
-        let id = match node {
+        let p = process_of(self.node_id(node), self.processes);
+        self.host.borrow_mut().alive(p)
+    }
+
+    /// The global node id: front-ends `0..m`, datacenters `m..m+n`.
+    fn node_id(&self, node: NodeId) -> usize {
+        match node {
             NodeId::Frontend(i) => i,
             NodeId::Datacenter(j) => self.m + j,
-        };
-        let p = process_of(id, self.processes);
-        self.children[p]
-            .borrow_mut()
-            .as_mut()
-            .is_some_and(|child| matches!(child.try_wait(), Ok(None)))
+        }
     }
 
-    /// Delivers a real `SIGKILL` to process `p` and reaps it.
+    /// Every front-end plus every datacenter not currently evicted.
+    fn live_nodes(&self) -> Vec<NodeId> {
+        (0..self.m)
+            .map(NodeId::Frontend)
+            .chain(
+                (0..self.n)
+                    .filter(|&j| !self.tracker.is_evicted(j))
+                    .map(NodeId::Datacenter),
+            )
+            .collect()
+    }
+
+    /// Kills unit `p` (see [`Host::kill`]) and drops its link.
     fn kill_process(&mut self, p: usize) {
         if let Some(conn) = self.conns[p].take() {
-            let _ = conn.shutdown(Shutdown::Both);
+            conn.shutdown();
         }
-        if let Some(mut child) = self.children[p].borrow_mut().take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-
-    /// Fires this iteration's scripted front-end kills (before the predict
-    /// commands go out, so the victim dies mid-iteration).
-    fn inject_frontend_crashes(&mut self, k: usize) {
-        for i in 0..self.m {
-            if self.remaining_crashes[i].first() == Some(&k) {
-                self.kill_process(process_of(i, self.processes));
-                self.remaining_crashes[i].retain(|&it| it > k);
-            }
-        }
-    }
-
-    /// Fires this iteration's scripted datacenter kills.
-    fn inject_datacenter_crashes(&mut self, k: usize) {
-        for j in 0..self.n {
-            if self.tracker.is_evicted(j) {
-                continue;
-            }
-            let id = self.m + j;
-            if self.remaining_crashes[id].first() == Some(&k) {
-                self.kill_process(process_of(id, self.processes));
-                self.remaining_crashes[id].retain(|&it| it > k);
-            }
-        }
+        self.host.get_mut().kill(p);
     }
 
     /// At a partition window's opening iteration, tears down the affected
@@ -674,7 +814,7 @@ impl<'a> SocketSupervisor<'a> {
         }
         for &p in &affected {
             if let Some(conn) = self.conns[p].take() {
-                let _ = conn.shutdown(Shutdown::Both);
+                conn.shutdown();
             }
         }
         for &p in &affected {
@@ -684,165 +824,231 @@ impl<'a> SocketSupervisor<'a> {
         Ok(())
     }
 
-    /// Kills (if needed), respawns, and re-registers the process hosting
-    /// `node` at a bumped incarnation.
-    fn respawn_process_for(&mut self, node: usize, k: usize) -> Result<(), CoreError> {
-        let p = process_of(node, self.processes);
+    /// Kills (if needed), respawns, and re-registers the unit hosting node
+    /// `id` at a bumped incarnation; scripted crashes before iteration
+    /// `first_crash` are dropped so a respawn never re-fires one.
+    fn respawn_unit(&mut self, id: usize, first_crash: usize) -> Result<(), CoreError> {
+        let p = process_of(id, self.processes);
         self.kill_process(p);
         self.incarnations[p] += 1;
-        self.remaining_crashes[node].retain(|&it| it > k);
-        self.spawn_process(p)?;
+        self.remaining_crashes[id].retain(|&it| it >= first_crash);
+        self.spawn_unit(p)?;
         self.await_registration(p)
     }
 
-    /// Respawns front-end `i` from its last checkpoint, replays the
-    /// buffered inputs since, and re-applies this iteration's membership
-    /// deltas — the socket spelling of the threaded engine's
-    /// `respawn_frontend`.
-    fn respawn_frontend(&mut self, i: usize, k: usize) -> Result<(), CoreError> {
-        self.respawn_process_for(i, k)?;
+    /// Respawns `node` from its last checkpoint and replays the buffered
+    /// inputs since (plus, for a front-end, this iteration's membership
+    /// deltas), so its state is exactly what the killed worker's would
+    /// have been entering iteration `k`.
+    fn respawn(&mut self, node: NodeId, k: usize) -> Result<(), CoreError> {
+        let id = self.node_id(node);
+        self.respawn_unit(id, k + 1)?;
+        let checkpoint = match node {
+            NodeId::Frontend(i) => self.store.frontend(i),
+            NodeId::Datacenter(j) => self.store.datacenter(j),
+        };
         let mut base = 0usize;
-        if let Some((it, blob)) = self.store.frontend(i) {
-            let blob = blob.to_vec();
-            base = it;
-            self.send_node(i, NodeCmd::Restore { blob });
-        }
-        let mut replayed = 0usize;
-        for entry in replay_entries(&self.history, base, k) {
-            self.send_node(
-                i,
-                NodeCmd::Predict {
-                    iteration: entry.iteration,
-                },
-            );
-            self.send_node(
-                i,
-                NodeCmd::Correct {
-                    iteration: entry.iteration,
-                    a_row: row_of(&entry.a_cols, i),
-                },
-            );
-            replayed += 1;
-        }
-        self.tracker.report.recomputed_iterations += replayed;
-        for &j in &self.readmitted_now {
-            self.send_node(
-                i,
-                NodeCmd::Membership {
-                    datacenter: j,
-                    evict: false,
-                },
-            );
-        }
-        Ok(())
-    }
-
-    /// Respawns datacenter `j` from its last checkpoint and replays the
-    /// buffered λ̃ columns since.
-    fn respawn_datacenter(&mut self, j: usize, k: usize) -> Result<(), CoreError> {
-        let id = self.m + j;
-        self.respawn_process_for(id, k)?;
-        let mut base = 0usize;
-        if let Some((it, blob)) = self.store.datacenter(j) {
+        if let Some((it, blob)) = checkpoint {
             let blob = blob.to_vec();
             base = it;
             self.send_node(id, NodeCmd::Restore { blob });
         }
         let mut replayed = 0usize;
         for entry in replay_entries(&self.history, base, k) {
-            self.send_node(
-                id,
-                NodeCmd::Process {
-                    iteration: entry.iteration,
-                    column: column_of(&entry.rows, j),
-                },
-            );
+            let iteration = entry.iteration;
+            match node {
+                NodeId::Frontend(i) => {
+                    self.send_node(id, NodeCmd::Predict { iteration });
+                    let a_row = row_of(&entry.a_cols, i);
+                    self.send_node(id, NodeCmd::Correct { iteration, a_row });
+                }
+                NodeId::Datacenter(j) => {
+                    let column = column_of(&entry.rows, j);
+                    self.send_node(id, NodeCmd::Process { iteration, column });
+                }
+            }
             replayed += 1;
         }
         self.tracker.report.recomputed_iterations += replayed;
+        if let NodeId::Frontend(_) = node {
+            for &datacenter in &self.readmitted_now {
+                let evict = false;
+                self.send_node(id, NodeCmd::Membership { datacenter, evict });
+            }
+        }
         Ok(())
     }
 
-    /// Evicts datacenter `j`: reaps the dead process and broadcasts the
-    /// membership change to every front-end.
-    fn evict_datacenter(&mut self, j: usize) {
-        self.kill_process(process_of(self.m + j, self.processes));
+    /// Announces datacenter `j`'s eviction or readmission to every
+    /// front-end.
+    fn broadcast_membership(&mut self, datacenter: usize, evict: bool) {
         for i in 0..self.m {
-            self.send_node(
-                i,
-                NodeCmd::Membership {
-                    datacenter: j,
-                    evict: true,
-                },
-            );
-            self.stats.record(&Message::Membership {
-                datacenter: j,
-                evict: true,
-            });
+            self.send_node(i, NodeCmd::Membership { datacenter, evict });
+            self.stats
+                .record(&Message::Membership { datacenter, evict });
         }
+        self.membership_changed = true;
     }
 
-    /// One checkpoint round, identical accounting to the threaded engine's.
-    fn checkpoint_round(&mut self, k: usize) -> Result<(), CoreError> {
-        let (m, n) = (self.m, self.n);
-        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
-        for i in 0..m {
-            self.send_node(i, NodeCmd::Snapshot { iteration: k });
-        }
-        for j in 0..n {
-            if !self.tracker.is_evicted(j) {
-                self.send_node(m + j, NodeCmd::Snapshot { iteration: k });
-                pending.insert(NodeId::Datacenter(j));
+    /// Sends `node` its data-phase command for iteration `k`: predict for
+    /// a front-end, the gathered λ̃ column for a datacenter.
+    fn send_phase(&self, node: NodeId, k: usize) {
+        let cmd = match node {
+            NodeId::Frontend(_) => NodeCmd::Predict { iteration: k },
+            NodeId::Datacenter(j) => NodeCmd::Process {
+                iteration: k,
+                column: column_of(&self.rows, j),
+            },
+        };
+        self.send_node(self.node_id(node), cmd);
+    }
+
+    /// Runs one data phase of iteration `k` over `nodes`: fires their
+    /// scripted kills (so a victim dies mid-iteration), sends each its
+    /// command, and gathers through `accept` in one broad loop — dead
+    /// workers surface per ladder while live stragglers stay pending, and
+    /// a worker the fault tracker recovers is respawned, replayed and asked
+    /// again inside the same pending set, so no reply is ever consumed by a
+    /// narrower filter. A datacenter past its eviction deadline is evicted.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-indexed node's typed rejection (a `NodeError` reply —
+    /// never respawned into the same poison), or the fault tracker's
+    /// verdict on an unrecoverable node.
+    fn data_phase(
+        &mut self,
+        k: usize,
+        nodes: &[NodeId],
+        accept: &mut dyn FnMut(Reply) -> Option<NodeId>,
+    ) -> Result<(), CoreError> {
+        for &node in nodes {
+            let id = self.node_id(node);
+            if self.remaining_crashes[id].first() == Some(&k) {
+                self.kill_process(process_of(id, self.processes));
+                self.remaining_crashes[id].retain(|&it| it > k);
             }
         }
-        let mut fe_blobs: Vec<Option<Vec<u8>>> = vec![None; m];
-        let mut dc_blobs: Vec<Option<Vec<u8>>> = vec![None; n];
+        for &node in nodes {
+            self.send_phase(node, k);
+        }
+        let mut pending: HashSet<NodeId> = nodes.iter().copied().collect();
+        let mut rejections: Vec<(usize, CoreError)> = Vec::new();
+        let mut respawned: HashSet<NodeId> = HashSet::new();
+        loop {
+            let missing = gather_phase(
+                &self.reply_rx,
+                &mut pending,
+                self.tracker.plan().phase_timeout,
+                self.tracker.plan().backoff_rounds,
+                |node| self.alive(node),
+                |reply| match reply {
+                    Reply::NodeError {
+                        node,
+                        iteration,
+                        error,
+                    } if iteration == k && nodes.contains(&node) => {
+                        rejections.push((self.node_id(node), error));
+                        Some(node)
+                    }
+                    reply => accept(reply),
+                },
+            );
+            if missing.is_empty() && pending.is_empty() {
+                break;
+            }
+            for node in missing {
+                if rejections.iter().any(|(id, _)| *id == self.node_id(node)) {
+                    continue;
+                }
+                self.integrity.counters.dead_node_declarations += 1;
+                if !respawned.insert(node) {
+                    return Err(CoreError::node_failure(
+                        node.to_string(),
+                        k,
+                        "no reply after checkpoint respawn",
+                    ));
+                }
+                match (self.tracker.resolve_crash(node, k)?, node) {
+                    (Resolution::Recovered { .. }, _) => {
+                        self.respawn(node, k)?;
+                        self.send_phase(node, k);
+                        pending.insert(node);
+                    }
+                    (Resolution::Evicted { .. }, NodeId::Datacenter(j)) => {
+                        self.kill_process(process_of(self.m + j, self.processes));
+                        self.broadcast_membership(j, true);
+                    }
+                    (Resolution::Evicted { .. }, NodeId::Frontend(_)) => {
+                        unreachable!("front-ends are never evicted")
+                    }
+                }
+            }
+        }
+        rejections
+            .into_iter()
+            .min_by_key(|(id, _)| *id)
+            .map_or(Ok(()), |(_, error)| Err(error))
+    }
+
+    /// Gathers one reply per node in `nodes` through `accept` (the commands
+    /// are already sent); a node silent past the ladder is a typed failure
+    /// at iteration `k`.
+    fn gather_all(
+        &self,
+        k: usize,
+        nodes: &[NodeId],
+        context: &str,
+        accept: impl FnMut(Reply) -> Option<NodeId>,
+    ) -> Result<(), CoreError> {
+        let mut pending: HashSet<NodeId> = nodes.iter().copied().collect();
         let missing = gather_phase(
             &self.reply_rx,
             &mut pending,
-            self.timeout,
-            self.rounds,
+            self.tracker.plan().phase_timeout,
+            self.tracker.plan().backoff_rounds,
             |node| self.alive(node),
-            |reply| match reply {
+            accept,
+        );
+        match missing.first() {
+            Some(node) => Err(CoreError::node_failure(node.to_string(), k, context)),
+            None => Ok(()),
+        }
+    }
+
+    /// One checkpoint round: every live node snapshots its iterate slice
+    /// and ships it to the coordinator, which accounts the traffic and
+    /// clears the replay buffer.
+    fn checkpoint_round(&mut self, k: usize) -> Result<(), CoreError> {
+        let nodes = self.live_nodes();
+        for &node in &nodes {
+            self.send_node(self.node_id(node), NodeCmd::Snapshot { iteration: k });
+        }
+        let mut blobs: Vec<Option<Vec<u8>>> = vec![None; self.m + self.n];
+        self.gather_all(k, &nodes, "no reply to the checkpoint request", |reply| {
+            let (node, blob) = match reply {
                 Reply::FeSnapshot { i, iteration, blob } if iteration == k => {
-                    fe_blobs[i] = Some(blob);
-                    Some(NodeId::Frontend(i))
+                    (NodeId::Frontend(i), blob)
                 }
                 Reply::DcSnapshot { j, iteration, blob } if iteration == k => {
-                    dc_blobs[j] = Some(blob);
-                    Some(NodeId::Datacenter(j))
+                    (NodeId::Datacenter(j), blob)
                 }
-                _ => None,
-            },
-        );
-        if let Some(node) = missing.first() {
-            return Err(CoreError::node_failure(
-                node.to_string(),
-                k,
-                "no reply to the checkpoint request",
-            ));
-        }
-        for (i, blob) in fe_blobs.into_iter().enumerate() {
-            let blob = blob.ok_or_else(|| {
-                CoreError::node_failure(
-                    NodeId::Frontend(i).to_string(),
-                    k,
-                    "checkpoint blob missing after gather",
-                )
-            })?;
-            self.stats.record(&Message::Checkpoint {
-                node: i,
-                payload_bytes: blob.len(),
-            });
-            self.store.put_frontend(i, k, blob);
-        }
-        for (j, blob) in dc_blobs.into_iter().enumerate() {
+                _ => return None,
+            };
+            blobs[self.node_id(node)] = Some(blob);
+            Some(node)
+        })?;
+        for (id, blob) in blobs.into_iter().enumerate() {
             let Some(blob) = blob else { continue };
             self.stats.record(&Message::Checkpoint {
-                node: m + j,
+                node: id,
                 payload_bytes: blob.len(),
             });
-            self.store.put_datacenter(j, k, blob);
+            if id < self.m {
+                self.store.put_frontend(id, k, blob);
+            } else {
+                self.store.put_datacenter(id - self.m, k, blob);
+            }
         }
         self.tracker.report.checkpoints_taken += 1;
         self.history.clear();
@@ -855,26 +1061,17 @@ impl<'a> SocketSupervisor<'a> {
         &mut self,
         iterations: usize,
     ) -> Result<(Vec<Vec<f64>>, Vec<f64>, Vec<f64>), CoreError> {
-        let (m, n) = (self.m, self.n);
-        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
-        for i in 0..m {
-            self.send_node(i, NodeCmd::Finish);
+        let nodes = self.live_nodes();
+        for &node in &nodes {
+            self.send_node(self.node_id(node), NodeCmd::Finish);
         }
-        for j in 0..n {
-            if !self.tracker.is_evicted(j) {
-                self.send_node(m + j, NodeCmd::Finish);
-                pending.insert(NodeId::Datacenter(j));
-            }
-        }
-        let mut lambda_rows: Vec<Vec<f64>> = vec![Vec::new(); m];
-        let mut mu = vec![0.0; n];
-        let mut d = vec![0.0; n];
-        let missing = gather_phase(
-            &self.reply_rx,
-            &mut pending,
-            self.timeout,
-            self.rounds,
-            |node| self.alive(node),
+        let mut lambda_rows: Vec<Vec<f64>> = vec![Vec::new(); self.m];
+        let mut mu = vec![0.0; self.n];
+        let mut d = vec![0.0; self.n];
+        self.gather_all(
+            iterations,
+            &nodes,
+            "no reply to the final gather",
             |reply| match reply {
                 Reply::FeFinal { i, lambda } => {
                     lambda_rows[i] = lambda;
@@ -887,32 +1084,21 @@ impl<'a> SocketSupervisor<'a> {
                 }
                 _ => None,
             },
-        );
-        if let Some(node) = missing.first() {
-            return Err(CoreError::node_failure(
-                node.to_string(),
-                iterations,
-                "no reply to the final gather",
-            ));
-        }
+        )?;
         Ok((lambda_rows, mu, d))
     }
 
     /// Orderly teardown on every exit path: `Shutdown` frames, forced
-    /// socket closes (so pump threads exit), acceptor stop, pump joins,
-    /// then a bounded wait for each worker process with `SIGKILL` as the
-    /// backstop.
+    /// link closes (so pump threads exit), acceptor stop, pump joins, then
+    /// [`Host::reap`].
     fn shutdown(mut self) -> Result<(), CoreError> {
         for conn in self.conns.iter().flatten() {
-            let mut writer: &TcpStream = conn;
-            let _ = std::io::Write::write_all(&mut writer, &WireFrame::Shutdown.to_wire());
+            let _ = conn.write_all(&WireFrame::Shutdown.to_wire());
         }
         for conn in self.conns.drain(..).flatten() {
-            let _ = conn.shutdown(Shutdown::Both);
+            conn.shutdown();
         }
-        self.acceptor_stop.store(true, Ordering::SeqCst);
-        // The acceptor is blocked in accept(); poke it awake.
-        let _ = TcpStream::connect(&self.addr);
+        self.host.get_mut().stop_acceptor();
         let mut first_panic = None;
         if let Some(handle) = self.acceptor.take() {
             if handle.join().is_err() {
@@ -933,26 +1119,8 @@ impl<'a> SocketSupervisor<'a> {
                 ));
             }
         }
-        let deadline = Instant::now() + EXIT_GRACE;
-        for cell in &self.children {
-            let Some(mut child) = cell.borrow_mut().take() else {
-                continue;
-            };
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
-            }
-        }
-        first_panic.map_or(Ok(()), Err)
+        let reaped = self.host.get_mut().reap();
+        first_panic.map_or(reaped, Err)
     }
 }
 
@@ -966,8 +1134,8 @@ impl Transport for SocketSupervisor<'_> {
         self.membership_changed = false;
         let readmitted_now = self.tracker.probe_readmissions();
         for &j in &readmitted_now {
-            // The respawned process builds a fresh datacenter kernel at
-            // Welcome — exactly the state the threaded engine constructs —
+            // The respawned worker builds a fresh datacenter kernel at
+            // Welcome — exactly the state the lockstep engine constructs —
             // so only the coordinator-side snapshot needs producing here.
             let node = DatacenterNode::new(
                 self.instance,
@@ -978,26 +1146,8 @@ impl Transport for SocketSupervisor<'_> {
             );
             self.store
                 .put_datacenter(j, k - 1, node.snapshot().to_bytes());
-            let id = self.m + j;
-            let p = process_of(id, self.processes);
-            self.incarnations[p] += 1;
-            self.remaining_crashes[id].retain(|&it| it >= k);
-            self.spawn_process(p)?;
-            self.await_registration(p)?;
-            for i in 0..self.m {
-                self.send_node(
-                    i,
-                    NodeCmd::Membership {
-                        datacenter: j,
-                        evict: false,
-                    },
-                );
-                self.stats.record(&Message::Membership {
-                    datacenter: j,
-                    evict: false,
-                });
-            }
-            self.membership_changed = true;
+            self.respawn_unit(self.m + j, k)?;
+            self.broadcast_membership(j, false);
         }
         self.readmitted_now = readmitted_now;
         account_stragglers(&mut self.tracker, self.m, self.n, k);
@@ -1009,76 +1159,16 @@ impl Transport for SocketSupervisor<'_> {
     }
 
     fn predict_lambda(&mut self, k: usize) -> Result<(), CoreError> {
-        self.inject_frontend_crashes(k);
         let m = self.m;
-        for i in 0..m {
-            self.send_node(i, NodeCmd::Predict { iteration: k });
-        }
+        let nodes: Vec<NodeId> = (0..m).map(NodeId::Frontend).collect();
         let mut rows: Vec<Option<Vec<f64>>> = vec![None; m];
-        let mut errors: Vec<Option<CoreError>> = vec![None; m];
-        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
-        // One broad gather loop, shared shape with the threaded engine:
-        // dead processes surface per-ladder while live stragglers stay
-        // pending, and a respawned process rejoins the same pending set.
-        let mut respawned: HashSet<NodeId> = HashSet::new();
-        loop {
-            let missing = gather_phase(
-                &self.reply_rx,
-                &mut pending,
-                self.timeout,
-                self.rounds,
-                |node| self.alive(node),
-                |reply| match reply {
-                    Reply::Lambda { i, iteration, row } if iteration == k => {
-                        rows[i] = Some(row);
-                        Some(NodeId::Frontend(i))
-                    }
-                    Reply::NodeError {
-                        node: node @ NodeId::Frontend(i),
-                        iteration,
-                        error,
-                    } if iteration == k => {
-                        errors[i] = Some(error);
-                        Some(node)
-                    }
-                    _ => None,
-                },
-            );
-            if missing.is_empty() && pending.is_empty() {
-                break;
+        self.data_phase(k, &nodes, &mut |reply| match reply {
+            Reply::Lambda { i, iteration, row } if iteration == k => {
+                rows[i] = Some(row);
+                Some(NodeId::Frontend(i))
             }
-            for node in missing {
-                let NodeId::Frontend(i) = node else {
-                    unreachable!("predict phase only waits on front-ends")
-                };
-                if errors[i].is_some() {
-                    // The worker shipped a typed rejection and exited; do
-                    // not respawn into the same poison.
-                    continue;
-                }
-                self.integrity.counters.dead_node_declarations += 1;
-                if !respawned.insert(node) {
-                    return Err(CoreError::node_failure(
-                        node.to_string(),
-                        k,
-                        "no reply after checkpoint respawn",
-                    ));
-                }
-                match self.tracker.resolve_crash(node, k)? {
-                    Resolution::Recovered { .. } => {
-                        self.respawn_frontend(i, k)?;
-                        self.send_node(i, NodeCmd::Predict { iteration: k });
-                        pending.insert(node);
-                    }
-                    Resolution::Evicted { .. } => {
-                        unreachable!("front-ends are never evicted")
-                    }
-                }
-            }
-        }
-        if let Some(error) = errors.into_iter().flatten().next() {
-            return Err(error);
-        }
+            _ => None,
+        })?;
         let mut rows: Vec<Vec<f64>> = rows
             .into_iter()
             .enumerate()
@@ -1106,100 +1196,29 @@ impl Transport for SocketSupervisor<'_> {
     }
 
     fn step_datacenters(&mut self, k: usize) -> Result<(), CoreError> {
-        self.inject_datacenter_crashes(k);
         let (m, n) = (self.m, self.n);
-        for j in 0..n {
-            if self.tracker.is_evicted(j) {
-                continue;
-            }
-            self.send_node(
-                m + j,
-                NodeCmd::Process {
-                    iteration: k,
-                    column: column_of(&self.rows, j),
-                },
-            );
-        }
-        let mut a_cols = vec![vec![0.0; m]; n];
-        let mut d_vals = vec![0.0; n];
-        let mut dc_residuals: Vec<Option<NodeResiduals>> = vec![None; n];
-        let mut errors: Vec<Option<CoreError>> = vec![None; n];
-        let mut pending: HashSet<NodeId> = (0..n)
+        let nodes: Vec<NodeId> = (0..n)
             .filter(|&j| !self.tracker.is_evicted(j))
             .map(NodeId::Datacenter)
             .collect();
-        let mut respawned: HashSet<NodeId> = HashSet::new();
-        loop {
-            let missing = gather_phase(
-                &self.reply_rx,
-                &mut pending,
-                self.timeout,
-                self.rounds,
-                |node| self.alive(node),
-                |reply| match reply {
-                    Reply::DcStep {
-                        j,
-                        iteration,
-                        a_tilde,
-                        d,
-                        residuals,
-                    } if iteration == k => {
-                        a_cols[j] = a_tilde;
-                        d_vals[j] = d;
-                        dc_residuals[j] = Some(residuals);
-                        Some(NodeId::Datacenter(j))
-                    }
-                    Reply::NodeError {
-                        node: node @ NodeId::Datacenter(j),
-                        iteration,
-                        error,
-                    } if iteration == k => {
-                        errors[j] = Some(error);
-                        Some(node)
-                    }
-                    _ => None,
-                },
-            );
-            if missing.is_empty() && pending.is_empty() {
-                break;
+        let mut a_cols = vec![vec![0.0; m]; n];
+        let mut d_vals = vec![0.0; n];
+        let mut dc_residuals: Vec<Option<NodeResiduals>> = vec![None; n];
+        self.data_phase(k, &nodes, &mut |reply| match reply {
+            Reply::DcStep {
+                j,
+                iteration,
+                a_tilde,
+                d,
+                residuals,
+            } if iteration == k => {
+                a_cols[j] = a_tilde;
+                d_vals[j] = d;
+                dc_residuals[j] = Some(residuals);
+                Some(NodeId::Datacenter(j))
             }
-            for node in missing {
-                let NodeId::Datacenter(j) = node else {
-                    unreachable!("datacenter phase only waits on datacenters")
-                };
-                if errors[j].is_some() {
-                    continue;
-                }
-                self.integrity.counters.dead_node_declarations += 1;
-                if !respawned.insert(node) {
-                    return Err(CoreError::node_failure(
-                        node.to_string(),
-                        k,
-                        "no reply after checkpoint respawn",
-                    ));
-                }
-                match self.tracker.resolve_crash(node, k)? {
-                    Resolution::Recovered { .. } => {
-                        self.respawn_datacenter(j, k)?;
-                        self.send_node(
-                            m + j,
-                            NodeCmd::Process {
-                                iteration: k,
-                                column: column_of(&self.rows, j),
-                            },
-                        );
-                        pending.insert(node);
-                    }
-                    Resolution::Evicted { .. } => {
-                        self.evict_datacenter(j);
-                        self.membership_changed = true;
-                    }
-                }
-            }
-        }
-        if let Some(error) = errors.into_iter().flatten().next() {
-            return Err(error);
-        }
+            _ => None,
+        })?;
         let mut phase_max = 1usize;
         for j in 0..n {
             if dc_residuals[j].is_some() {
@@ -1237,45 +1256,33 @@ impl Transport for SocketSupervisor<'_> {
     fn correct(&mut self, k: usize) -> Result<BlockResiduals, CoreError> {
         let m = self.m;
         for i in 0..m {
+            let a_row = row_of(&self.a_cols, i);
             self.send_node(
                 i,
                 NodeCmd::Correct {
                     iteration: k,
-                    a_row: row_of(&self.a_cols, i),
+                    a_row,
                 },
             );
         }
-        let mut fe_residuals: Vec<Option<NodeResiduals>> = vec![None; m];
-        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
-        let missing = gather_phase(
-            &self.reply_rx,
-            &mut pending,
-            self.timeout,
-            self.rounds,
-            |node| self.alive(node),
+        let nodes: Vec<NodeId> = (0..m).map(NodeId::Frontend).collect();
+        let mut fe_residuals: Vec<NodeResiduals> = vec![NodeResiduals::default(); m];
+        self.gather_all(
+            k,
+            &nodes,
+            "no reply in correction phase",
             |reply| match reply {
                 Reply::FeResidual {
                     i,
                     iteration,
                     residuals,
                 } if iteration == k => {
-                    fe_residuals[i] = Some(residuals);
+                    fe_residuals[i] = residuals;
                     Some(NodeId::Frontend(i))
                 }
                 _ => None,
             },
-        );
-        if let Some(node) = missing.first() {
-            return Err(CoreError::node_failure(
-                node.to_string(),
-                k,
-                "no reply in correction phase",
-            ));
-        }
-        let fe_residuals: Vec<NodeResiduals> = fe_residuals
-            .into_iter()
-            .map(|r| r.unwrap_or_default())
-            .collect();
+        )?;
         self.node_count = m + self.dc_residuals.iter().flatten().count();
         let (reduced, suspect) =
             reduce_residuals(&mut self.stats, &fe_residuals, &self.dc_residuals);
@@ -1287,54 +1294,42 @@ impl Transport for SocketSupervisor<'_> {
         self.integrity.counters.divergence_trips += 1;
         // Every live node needs a finite checkpoint before anything is
         // restored — a partial restore would leave the deployment
-        // inconsistent, so decline instead.
-        let mut base = usize::MAX;
-        let mut fe_snaps = Vec::with_capacity(self.m);
-        for i in 0..self.m {
-            let Some((it, blob)) = self.store.frontend(i) else {
-                return Ok(None);
-            };
-            let snap = FrontendSnapshot::from_bytes(blob)?;
-            if !snap.is_finite() {
-                return Ok(None);
-            }
-            base = base.min(it);
-            fe_snaps.push(snap);
-        }
-        let mut dc_snaps: Vec<Option<Vec<u8>>> = Vec::with_capacity(self.n);
-        for j in 0..self.n {
-            if self.tracker.is_evicted(j) {
-                dc_snaps.push(None);
-                continue;
-            }
-            let Some((it, blob)) = self.store.datacenter(j) else {
-                return Ok(None);
-            };
-            let snap = DatacenterSnapshot::from_bytes(blob)?;
-            if !snap.is_finite() {
-                return Ok(None);
-            }
-            base = base.min(it);
-            dc_snaps.push(Some(blob.to_vec()));
-        }
-        // The worker processes are alive — the poison is in their state,
-        // not their liveness — so restore in place over the live streams.
-        // TCP ordering guarantees the Restore lands before any later
-        // command. The live membership view stays authoritative over
-        // whatever the snapshot recorded.
+        // inconsistent, so decline instead. The live membership view stays
+        // authoritative over whatever a front-end snapshot recorded.
         let evicted = self.tracker.evicted_mask();
-        for (i, mut snap) in fe_snaps.into_iter().enumerate() {
-            snap.evicted.clone_from(&evicted);
-            self.send_node(
-                i,
-                NodeCmd::Restore {
-                    blob: snap.to_bytes(),
-                },
-            );
+        let mut base = usize::MAX;
+        let mut restores = Vec::new();
+        for node in self.live_nodes() {
+            let (it, blob) = match node {
+                NodeId::Frontend(i) => {
+                    let Some((it, blob)) = self.store.frontend(i) else {
+                        return Ok(None);
+                    };
+                    let mut snap = FrontendSnapshot::from_bytes(blob)?;
+                    if !snap.is_finite() {
+                        return Ok(None);
+                    }
+                    snap.evicted.clone_from(&evicted);
+                    (it, snap.to_bytes())
+                }
+                NodeId::Datacenter(j) => {
+                    let Some((it, blob)) = self.store.datacenter(j) else {
+                        return Ok(None);
+                    };
+                    if !DatacenterSnapshot::from_bytes(blob)?.is_finite() {
+                        return Ok(None);
+                    }
+                    (it, blob.to_vec())
+                }
+            };
+            base = base.min(it);
+            restores.push((self.node_id(node), blob));
         }
-        for (j, blob) in dc_snaps.into_iter().enumerate() {
-            let Some(blob) = blob else { continue };
-            self.send_node(self.m + j, NodeCmd::Restore { blob });
+        // The workers are alive — the poison is in their state, not their
+        // liveness — so restore in place over the live links, whose
+        // ordering guarantees the Restore lands before any later command.
+        for (id, blob) in restores {
+            self.send_node(id, NodeCmd::Restore { blob });
         }
         // Buffered inputs may hold the very payloads that poisoned the run;
         // never replay them into the restored state.
@@ -1356,10 +1351,8 @@ impl Transport for SocketSupervisor<'_> {
             rows: std::mem::take(&mut self.rows),
             a_cols: std::mem::take(&mut self.a_cols),
         });
-        if !stop
-            && (self.membership_changed
-                || (self.checkpoint_interval > 0 && k.is_multiple_of(self.checkpoint_interval)))
-        {
+        let interval = self.tracker.plan().checkpoint_interval;
+        if !stop && (self.membership_changed || (interval > 0 && k.is_multiple_of(interval))) {
             self.checkpoint_round(k)?;
         }
         Ok(())
@@ -1375,17 +1368,17 @@ fn session_id() -> u64 {
     nanos ^ (u64::from(std::process::id()) << 32)
 }
 
-/// Spawns the acceptor thread: accepts connections, runs the handshake
-/// (legacy `Hello` session check, or challenge–response when a key is
-/// configured), and hands each validated connection (plus its reply pump)
-/// to the coordinator via `reg_tx`. A hostile or malformed peer is simply
-/// dropped — the loop keeps serving honest workers.
+/// Spawns the acceptor thread: takes connections from `accept` (until it
+/// returns `None`), runs the handshake (legacy `Hello` session check, or
+/// challenge–response when a key is configured), and hands each validated
+/// connection (plus its reply pump) to the coordinator via `reg_tx`. A
+/// hostile or malformed peer is simply dropped — the loop keeps serving
+/// honest workers.
 fn spawn_acceptor(
-    listener: TcpListener,
+    mut accept: impl FnMut() -> Option<Link> + Send + 'static,
     state: AcceptorState,
     reply_tx: Sender<Reply>,
     reg_tx: Sender<Registration>,
-    stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         // Challenge nonces only need per-connection uniqueness within this
@@ -1393,13 +1386,7 @@ fn spawn_acceptor(
         // wall-clock nanos and the coordinator pid. Not cryptographically
         // unpredictable — see the threat model in DESIGN.md §17.
         let mut nonce_rng = SplitMix64::new(state.session ^ 0xC4A1_1EE5_0C4A_1175);
-        while !stop.load(Ordering::SeqCst) {
-            let Ok((stream, _)) = listener.accept() else {
-                continue;
-            };
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
+        while let Some(stream) = accept() {
             let Some(reg) = handshake(stream, &state, &mut nonce_rng, &reply_tx) else {
                 continue;
             };
@@ -1413,7 +1400,7 @@ fn spawn_acceptor(
 /// Reads exactly one decodable frame off a handshaking connection, or
 /// `None` on timeout, EOF, framing desync (garbage before the magic, an
 /// oversized length prefix), or a payload that fails its CRC.
-fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFrame> {
+fn read_one_frame(stream: &Link, frames: &mut FrameBuffer) -> Option<WireFrame> {
     loop {
         match frames.next_frame() {
             Ok(Some(payload)) => return WireFrame::decode_payload(&payload).ok(),
@@ -1421,8 +1408,7 @@ fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFr
             Err(_) => return None,
         }
         let mut chunk = [0u8; 1024];
-        let mut reader: &TcpStream = stream;
-        let n = reader.read(&mut chunk).ok()?;
+        let n = stream.read(&mut chunk).ok()?;
         if n == 0 {
             return None;
         }
@@ -1437,12 +1423,11 @@ fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFr
 /// [`verify_auth_hello`] before any iteration state is exchanged, and the
 /// hostile peer never sees a `Welcome`.
 fn handshake(
-    stream: TcpStream,
+    stream: Link,
     state: &AcceptorState,
     nonce_rng: &mut SplitMix64,
     reply_tx: &Sender<Reply>,
 ) -> Option<Registration> {
-    stream.set_nodelay(true).ok()?;
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     let mut frames = FrameBuffer::new();
     let (process, incarnation) = match &state.auth {
@@ -1465,14 +1450,11 @@ fn handshake(
             for word in 0..4 {
                 nonce[word * 8..word * 8 + 8].copy_from_slice(&nonce_rng.next().to_le_bytes());
             }
-            {
-                let mut writer: &TcpStream = &stream;
-                let challenge = WireFrame::Challenge {
-                    nonce,
-                    digest: state.config_digest,
-                };
-                std::io::Write::write_all(&mut writer, &challenge.to_wire()).ok()?;
-            }
+            let challenge = WireFrame::Challenge {
+                nonce,
+                digest: state.config_digest,
+            };
+            stream.write_all(&challenge.to_wire()).ok()?;
             let answer = read_one_frame(&stream, &mut frames)?;
             verify_auth_hello(key, &nonce, &state.config_digest, state.session, &answer).ok()?
         }
@@ -1480,10 +1462,7 @@ fn handshake(
     if process >= state.last_sent_len() {
         return None;
     }
-    {
-        let mut writer: &TcpStream = &stream;
-        std::io::Write::write_all(&mut writer, &state.welcome).ok()?;
-    }
+    stream.write_all(&state.welcome).ok()?;
     // Back to blocking reads for the pump: the gather ladder owns all
     // timeout policy.
     stream.set_read_timeout(None).ok()?;
@@ -1527,7 +1506,7 @@ impl AcceptorState {
 /// `Nak` is answered with the cached clean bytes of the last command, and
 /// a reordered reply is held until its successor passes it or the stream
 /// goes quiet.
-fn pump(stream: &TcpStream, frames: FrameBuffer, tx: &Sender<Reply>, mut wire: Option<PumpWire>) {
+fn pump(stream: &Link, frames: FrameBuffer, tx: &Sender<Reply>, mut wire: Option<PumpWire>) {
     let mut held = None;
     pump_loop(stream, frames, tx, wire.as_mut(), &mut held);
     // Never strand a reordered reply on exit: EOF and error paths flush it
@@ -1538,13 +1517,12 @@ fn pump(stream: &TcpStream, frames: FrameBuffer, tx: &Sender<Reply>, mut wire: O
 }
 
 fn pump_loop(
-    stream: &TcpStream,
+    stream: &Link,
     mut frames: FrameBuffer,
     tx: &Sender<Reply>,
     mut wire: Option<&mut PumpWire>,
     held: &mut Option<Reply>,
 ) {
-    let mut reader: &TcpStream = stream;
     let mut chunk = [0u8; 64 * 1024];
     // Consecutive undecodable frames on this connection; reset by any
     // clean decode. One ingress chaos draw happens per delivery attempt,
@@ -1611,8 +1589,7 @@ fn pump_loop(
                                 counters.corruptions_detected += 1;
                                 counters.checksum_retransmissions += 1;
                             }
-                            let mut writer: &TcpStream = stream;
-                            if std::io::Write::write_all(&mut writer, &resend).is_err() {
+                            if stream.write_all(&resend).is_err() {
                                 return;
                             }
                         }
@@ -1641,9 +1618,8 @@ fn pump_loop(
                             if let Ok(mut counters) = w.shared.counters.lock() {
                                 counters.checksum_retransmissions += 1;
                             }
-                            let mut writer: &TcpStream = stream;
                             let nak = WireFrame::Nak.to_wire();
-                            if std::io::Write::write_all(&mut writer, &nak).is_err() {
+                            if stream.write_all(&nak).is_err() {
                                 return;
                             }
                         }
@@ -1664,7 +1640,7 @@ fn pump_loop(
             {
                 return;
             }
-            let read = reader.read(&mut chunk);
+            let read = stream.read(&mut chunk);
             if stream.set_read_timeout(None).is_err() {
                 return;
             }
@@ -1681,7 +1657,7 @@ fn pump_loop(
                 Err(_) => return,
             }
         } else {
-            match reader.read(&mut chunk) {
+            match stream.read(&mut chunk) {
                 Ok(0) | Err(_) => return,
                 Ok(n) => frames.push(&chunk[..n]),
             }

@@ -16,10 +16,14 @@
 //! 5. a coordinator max-reduces the per-node residuals and broadcasts the
 //!    continue/stop decision.
 //!
-//! Two runtimes execute the same node logic: [`Runtime::Lockstep`] (a
+//! Two engines execute the same node logic: [`Runtime::Lockstep`] (a
 //! deterministic round engine, bit-identical to `ufc_core::AdmgSolver` by
-//! construction — asserted in tests) and [`Runtime::Threaded`] (one OS
-//! thread per node over std::sync::mpsc channels). Both are `Transport`
+//! construction — asserted in tests) and one supervised coordinator that
+//! drives worker units speaking a checksummed wire protocol. The
+//! supervised coordinator runs its workers either as `ufc-node` OS
+//! processes over TCP ([`DistributedAdmg::run_sockets`]) or, for
+//! [`Runtime::Threaded`], as in-process threads running the same
+//! [`worker`] loop over in-memory pipes. Both engines are `Transport`
 //! implementations sequenced by the single transport-agnostic iteration
 //! driver `ufc_core::engine::drive` — the λ→μ→ν→a prediction order, the
 //! correction step, and the stop rule exist in exactly one place. Both
@@ -28,11 +32,11 @@
 //!
 //! # Failure model
 //!
-//! The threaded runtime is *supervised*: a deterministic, seeded
-//! [`FaultPlan`] can script crash-stop failures (with or without recovery),
-//! straggler delays, and partition windows. The coordinator awaits every
-//! reply with `recv_timeout` deadlines and an exponential backoff ladder;
-//! a node silent past its eviction deadline is respawned from its last
+//! The supervised runtimes take a deterministic, seeded [`FaultPlan`] that
+//! scripts crash-stop failures (with or without recovery), straggler
+//! delays, and partition windows. The coordinator awaits every reply with
+//! `recv_timeout` deadlines and an exponential backoff ladder; a node
+//! silent past its eviction deadline is respawned from its last
 //! [`snapshot`] checkpoint and replayed, or — for datacenters only —
 //! evicted so the survivors continue in degraded mode (the evicted `μ_j`
 //! and `λ_·j` blocks are pinned to zero) until the node is readmitted.
@@ -49,7 +53,7 @@
 //! driver's divergence gate as a typed error — never a panic or a silently
 //! wrong UFC.
 //!
-//! The multi-process socket engine extends both directions to a hostile
+//! The multi-process socket runtime extends both directions to a hostile
 //! network: a [`BindConfig`] allows non-loopback listen addresses gated on
 //! a shared [`AuthKey`] (challenge–response keyed MAC before any iteration
 //! state moves), and the wire-level [`CorruptionKind`]s
@@ -78,14 +82,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codec;
 mod coordinator;
 mod engine_lockstep;
 mod engine_socket;
-mod engine_threaded;
 pub mod fault;
 pub mod loss;
 pub mod message;
 pub mod node;
+mod pipe;
 mod rng;
 mod runtime;
 pub mod snapshot;

@@ -19,6 +19,8 @@
 
 use ufc_core::CoreError;
 
+use crate::codec::{corrupt, get_f64, get_u32, get_u64, take};
+
 /// Fixed per-message header: sender, receiver, iteration, type tag.
 pub const HEADER_BYTES: usize = 16;
 
@@ -74,33 +76,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
-}
-
-fn corrupt(context: String) -> CoreError {
-    CoreError::corrupt_payload("wire", 0, context)
-}
-
-/// Cursor-style field readers for [`Message::decode`]; every truncation is
-/// a typed decode error, never a panic.
-fn take<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], CoreError> {
-    let end = *pos + N;
-    let slice = bytes
-        .get(*pos..end)
-        .ok_or_else(|| corrupt(format!("frame truncated at byte {pos}")))?;
-    *pos = end;
-    <[u8; N]>::try_from(slice).map_err(|_| corrupt(format!("frame truncated at byte {pos}")))
-}
-
-fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<usize, CoreError> {
-    Ok(u32::from_le_bytes(take::<4>(bytes, pos)?) as usize)
-}
-
-fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<usize, CoreError> {
-    Ok(u64::from_le_bytes(take::<8>(bytes, pos)?) as usize)
-}
-
-fn get_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, CoreError> {
-    Ok(f64::from_le_bytes(take::<8>(bytes, pos)?))
 }
 
 /// A protocol message.
@@ -340,7 +315,7 @@ impl Message {
             },
             4 => Message::Checkpoint {
                 node: get_u32(body, &mut pos)?,
-                payload_bytes: get_u64(body, &mut pos)?,
+                payload_bytes: get_u64(body, &mut pos)? as usize,
             },
             5 => Message::Membership {
                 datacenter: get_u32(body, &mut pos)?,

@@ -2,13 +2,14 @@
 //! result.
 //!
 //! Both engines — the deterministic lockstep rounds
-//! (`crate::engine_lockstep`) and the supervised threaded message-passing
-//! coordinator (`crate::engine_threaded`) — implement
-//! [`ufc_core::engine::Transport`] and are sequenced by the single
-//! transport-agnostic driver `ufc_core::engine::drive`, so the prediction
-//! order, correction step, and stop rule exist in exactly one place. The
-//! fault-injected variants are not separate code paths: a clean run is the
-//! [`FaultPlan::none`] degenerate case of the same engines.
+//! (`crate::engine_lockstep`) and the supervised coordinator
+//! (`crate::engine_socket`, hosting its workers as OS processes over TCP
+//! or, for [`Runtime::Threaded`], as threads over in-memory pipes) —
+//! implement [`ufc_core::engine::Transport`] and are sequenced by the
+//! single transport-agnostic driver `ufc_core::engine::drive`, so the
+//! prediction order, correction step, and stop rule exist in exactly one
+//! place. The fault-injected variants are not separate code paths: a clean
+//! run is the [`FaultPlan::none`] degenerate case of the same engines.
 
 use std::path::PathBuf;
 
@@ -19,7 +20,6 @@ use ufc_model::{OperatingPoint, UfcBreakdown, UfcInstance};
 
 use crate::engine_lockstep::run_lockstep;
 use crate::engine_socket::run_socket_engine;
-use crate::engine_threaded::run_supervised;
 use crate::fault::{CorruptionConfig, FaultPlan, FaultReport};
 use crate::loss::LossConfig;
 use crate::stats::MessageStats;
@@ -90,8 +90,10 @@ pub enum Runtime {
     /// Single-threaded round engine — deterministic and bit-identical to
     /// the in-memory `AdmgSolver`.
     Lockstep,
-    /// One OS thread per node over std::sync::mpsc channels, driven by the
-    /// supervising coordinator.
+    /// The socket runtime's supervising coordinator with one in-process
+    /// worker thread per node, talking the same checksummed wire frames
+    /// over in-memory pipes instead of TCP. Spawns no process and opens no
+    /// socket.
     Threaded,
 }
 
@@ -195,30 +197,11 @@ impl DistributedAdmg {
         runtime: Runtime,
         observer: &mut dyn IterationObserver,
     ) -> Result<DistRunReport, CoreError> {
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        match runtime {
-            Runtime::Lockstep => {
-                let mut report = run_lockstep(
-                    &self.settings,
-                    instance,
-                    active_mu,
-                    active_nu,
-                    FaultPlan::none(),
-                    None,
-                    observer,
-                )?;
-                report.fault = None;
-                Ok(report)
-            }
-            Runtime::Threaded => run_supervised(
-                &self.settings,
-                instance,
-                active_mu,
-                active_nu,
-                FaultPlan::none(),
-                observer,
-            ),
-        }
+        let active = strategy.block_activation(instance)?;
+        let mut report =
+            self.engine(instance, active, FaultPlan::none(), runtime, None, observer)?;
+        report.fault = None;
+        Ok(report)
     }
 
     /// Runs the protocol on the multi-process socket engine: every node in
@@ -254,14 +237,14 @@ impl DistributedAdmg {
         options: &SocketOptions,
         observer: &mut dyn IterationObserver,
     ) -> Result<DistRunReport, CoreError> {
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        run_socket_engine(
-            &self.settings,
+        let active = strategy.block_activation(instance)?;
+        let plan = FaultPlan::none();
+        self.engine(
             instance,
-            active_mu,
-            active_nu,
-            FaultPlan::none(),
-            options,
+            active,
+            plan,
+            Runtime::Threaded,
+            Some(options),
             observer,
         )
     }
@@ -271,7 +254,7 @@ impl DistributedAdmg {
     /// real `SIGKILL` to the live worker process mid-iteration, and a
     /// partition window tears down the affected TCP connections (the
     /// workers reconnect with backoff when it heals). Recovery is the same
-    /// checkpoint-restart protocol as the threaded engine's, and a run
+    /// checkpoint-restart protocol as [`Runtime::Threaded`]'s, and a run
     /// whose every crash recovers reproduces the clean iterates exactly. A
     /// clean fault-free lockstep run is performed first so the returned
     /// [`FaultReport::ufc_delta_vs_clean`] measures the cost of running
@@ -307,33 +290,8 @@ impl DistributedAdmg {
         plan: FaultPlan,
         observer: &mut dyn IterationObserver,
     ) -> Result<DistRunReport, CoreError> {
-        plan.check()?;
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        // The clean baseline run is support machinery, not the run the
-        // caller asked to watch: no observer, no telemetry.
-        let clean = run_lockstep(
-            &self.settings.with_telemetry(false),
-            instance,
-            active_mu,
-            active_nu,
-            FaultPlan::none(),
-            None,
-            &mut (),
-        )?;
-        let mut report = run_socket_engine(
-            &self.settings,
-            instance,
-            active_mu,
-            active_nu,
-            plan,
-            options,
-            observer,
-        )?;
-        let delta = report.breakdown.ufc() - clean.breakdown.ufc();
-        if let Some(fault) = report.fault.as_mut() {
-            fault.ufc_delta_vs_clean = delta;
-        }
-        Ok(report)
+        let (runtime, sockets) = (Runtime::Threaded, Some(options));
+        self.faulty(instance, strategy, plan, runtime, sockets, observer)
     }
 
     /// Runs the socket engine under seeded payload corruption applied to
@@ -380,25 +338,8 @@ impl DistributedAdmg {
         corruption: CorruptionConfig,
         observer: &mut dyn IterationObserver,
     ) -> Result<DistRunReport, CoreError> {
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        let mut plan = FaultPlan::none().with_corruption(corruption);
-        if self.settings.divergence_rollback {
-            // Same policy as run_corrupt: rollback needs checkpoints.
-            plan.checkpoint_interval = 4;
-        }
-        let mut report = run_socket_engine(
-            &self.settings,
-            instance,
-            active_mu,
-            active_nu,
-            plan,
-            options,
-            observer,
-        )?;
-        if let Some(fault) = report.fault.as_mut() {
-            fault.ufc_delta_vs_clean = 0.0;
-        }
-        Ok(report)
+        let (runtime, sockets) = (Runtime::Threaded, Some(options));
+        self.corrupt(instance, strategy, corruption, runtime, sockets, observer)
     }
 
     /// Runs the protocol (lockstep engine) over a lossy channel with
@@ -478,48 +419,7 @@ impl DistributedAdmg {
                  TCP frames; use run_sockets_corrupt",
             ));
         }
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        let mut plan = FaultPlan::none().with_corruption(corruption);
-        if self.settings.divergence_rollback {
-            // Rollback needs something to roll back to: checkpoint every
-            // few iterations so a tripped gate finds a recent finite state.
-            plan.checkpoint_interval = 4;
-        }
-        let mut report = match runtime {
-            Runtime::Lockstep => {
-                let mut report = run_lockstep(
-                    &self.settings,
-                    instance,
-                    active_mu,
-                    active_nu,
-                    plan,
-                    None,
-                    observer,
-                )?;
-                // Corruption is link-level, not a node-fault scenario: the
-                // fault report only stays when checkpointing actually ran.
-                if report
-                    .fault
-                    .as_ref()
-                    .is_some_and(|f| f.checkpoints_taken == 0)
-                {
-                    report.fault = None;
-                }
-                report
-            }
-            Runtime::Threaded => run_supervised(
-                &self.settings,
-                instance,
-                active_mu,
-                active_nu,
-                plan,
-                observer,
-            )?,
-        };
-        if let Some(fault) = report.fault.as_mut() {
-            fault.ufc_delta_vs_clean = 0.0;
-        }
-        Ok(report)
+        self.corrupt(instance, strategy, corruption, runtime, None, observer)
     }
 
     /// Runs the protocol under a deterministic [`FaultPlan`]: scripted
@@ -563,41 +463,94 @@ impl DistributedAdmg {
         plan: FaultPlan,
         observer: &mut dyn IterationObserver,
     ) -> Result<DistRunReport, CoreError> {
+        self.faulty(instance, strategy, plan, runtime, None, observer)
+    }
+
+    /// Runs `plan` on the engine `runtime` selects. `sockets` hosts the
+    /// supervised coordinator's workers as OS processes over TCP; without
+    /// it `Runtime::Threaded` hosts them as threads over in-memory pipes.
+    fn engine(
+        &self,
+        instance: &UfcInstance,
+        (active_mu, active_nu): (bool, bool),
+        plan: FaultPlan,
+        runtime: Runtime,
+        sockets: Option<&SocketOptions>,
+        observer: &mut dyn IterationObserver,
+    ) -> Result<DistRunReport, CoreError> {
+        let settings = &self.settings;
+        match runtime {
+            Runtime::Lockstep => run_lockstep(
+                settings, instance, active_mu, active_nu, plan, None, observer,
+            ),
+            Runtime::Threaded => run_socket_engine(
+                settings, instance, active_mu, active_nu, plan, sockets, observer,
+            ),
+        }
+    }
+
+    /// A faulty run, preceded by the clean fault-free lockstep run its
+    /// [`FaultReport::ufc_delta_vs_clean`] is measured against.
+    fn faulty(
+        &self,
+        instance: &UfcInstance,
+        strategy: Strategy,
+        plan: FaultPlan,
+        runtime: Runtime,
+        sockets: Option<&SocketOptions>,
+        observer: &mut dyn IterationObserver,
+    ) -> Result<DistRunReport, CoreError> {
         plan.check()?;
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
+        let active = strategy.block_activation(instance)?;
         // The clean baseline run is support machinery, not the run the
         // caller asked to watch: no observer, no telemetry.
+        let quiet = self.settings.with_telemetry(false);
         let clean = run_lockstep(
-            &self.settings.with_telemetry(false),
+            &quiet,
             instance,
-            active_mu,
-            active_nu,
+            active.0,
+            active.1,
             FaultPlan::none(),
             None,
             &mut (),
         )?;
-        let mut report = match runtime {
-            Runtime::Lockstep => run_lockstep(
-                &self.settings,
-                instance,
-                active_mu,
-                active_nu,
-                plan,
-                None,
-                observer,
-            )?,
-            Runtime::Threaded => run_supervised(
-                &self.settings,
-                instance,
-                active_mu,
-                active_nu,
-                plan,
-                observer,
-            )?,
-        };
+        let mut report = self.engine(instance, active, plan, runtime, sockets, observer)?;
         let delta = report.breakdown.ufc() - clean.breakdown.ufc();
         if let Some(fault) = report.fault.as_mut() {
             fault.ufc_delta_vs_clean = delta;
+        }
+        Ok(report)
+    }
+
+    /// A run under seeded payload corruption.
+    fn corrupt(
+        &self,
+        instance: &UfcInstance,
+        strategy: Strategy,
+        corruption: CorruptionConfig,
+        runtime: Runtime,
+        sockets: Option<&SocketOptions>,
+        observer: &mut dyn IterationObserver,
+    ) -> Result<DistRunReport, CoreError> {
+        let active = strategy.block_activation(instance)?;
+        let mut plan = FaultPlan::none().with_corruption(corruption);
+        if self.settings.divergence_rollback {
+            // Rollback needs something to roll back to: checkpoint every
+            // few iterations so a tripped gate finds a recent finite state.
+            plan.checkpoint_interval = 4;
+        }
+        let mut report = self.engine(instance, active, plan, runtime, sockets, observer)?;
+        // Corruption is link-level, not a node-fault scenario: the fault
+        // report only stays when checkpointing actually ran.
+        if report
+            .fault
+            .as_ref()
+            .is_some_and(|f| f.checkpoints_taken == 0)
+        {
+            report.fault = None;
+        }
+        if let Some(fault) = report.fault.as_mut() {
+            fault.ufc_delta_vs_clean = 0.0;
         }
         Ok(report)
     }
@@ -664,6 +617,35 @@ mod tests {
         );
         assert_eq!(lockstep.stats, threaded.stats);
         assert!(threaded.fault.is_none());
+    }
+
+    /// A node whose sub-problem rejects poisoned replicas ships a typed
+    /// `Subproblem` error across the wire; the supervised coordinator must
+    /// fail with exactly the error lockstep raises, front-end or
+    /// datacenter.
+    #[test]
+    fn poisoned_node_fails_identically_over_the_wire() {
+        use crate::fault::CorruptionKind;
+        let inst = tiny();
+        let runner = DistributedAdmg::new(AdmgSettings::default());
+        for (seed, rate, which) in [(1, 0.2, "lambda[1]"), (4, 0.01, "a[0]")] {
+            let cfg = CorruptionConfig::new(rate, seed).with_kind(CorruptionKind::BitFlip);
+            let lockstep = runner
+                .run_corrupt(&inst, Strategy::Hybrid, Runtime::Lockstep, cfg)
+                .unwrap_err();
+            assert!(
+                matches!(&lockstep, CoreError::Subproblem { which: w, .. } if w == which),
+                "seed {seed}: {lockstep}"
+            );
+            let threaded = runner
+                .run_corrupt(&inst, Strategy::Hybrid, Runtime::Threaded, cfg)
+                .unwrap_err();
+            assert!(
+                matches!(threaded, CoreError::Subproblem { .. }),
+                "seed {seed}: {threaded:?}"
+            );
+            assert_eq!(threaded.to_string(), lockstep.to_string());
+        }
     }
 
     #[test]

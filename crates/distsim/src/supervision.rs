@@ -1,45 +1,21 @@
-//! The worker-thread protocol of the supervised runtime: typed commands
-//! and replies, per-worker fault scripts, the exponential-backoff gather,
-//! and the worker thread bodies themselves.
+//! What the supervising coordinator gathers: iteration-tagged worker
+//! [`Reply`]s and the exponential-backoff [`gather_phase`] ladder that
+//! drains them.
 //!
-//! The supervising coordinator (`crate::engine_threaded`) drives one OS
-//! thread per node through these channels. Every reply is iteration-tagged
-//! so stale replay traffic is discarded, and [`gather_phase`] only declares
-//! a silent node dead once its thread has actually exited.
+//! Every reply is iteration-tagged so stale replay traffic is discarded,
+//! and [`gather_phase`] only declares a silent node dead once its worker
+//! (process or thread) has actually exited.
 
 use std::collections::HashSet;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::thread::JoinHandle;
+#[cfg(test)]
+use std::sync::mpsc::channel;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use ufc_core::CoreError;
 
-use crate::fault::{FaultPlan, NodeId};
-use crate::node::{DatacenterNode, FrontendNode, NodeResiduals};
-
-/// Commands to a front-end worker.
-pub(crate) enum FeCmd {
-    /// Run the λ prediction for `iteration`.
-    Predict { iteration: usize },
-    /// Apply the gathered ã row and correct.
-    Correct { iteration: usize, a_row: Vec<f64> },
-    /// Serialize the iterate slice for a checkpoint round.
-    Snapshot { iteration: usize },
-    /// Apply a membership change for `datacenter`.
-    Membership { datacenter: usize, evict: bool },
-    /// Ship the final λ row and exit.
-    Finish,
-}
-
-/// Commands to a datacenter worker.
-pub(crate) enum DcCmd {
-    /// Run the μ/ν/a steps on the gathered λ̃ column for `iteration`.
-    Process { iteration: usize, column: Vec<f64> },
-    /// Serialize the iterate slice for a checkpoint round.
-    Snapshot { iteration: usize },
-    /// Ship the final μ and exit.
-    Finish,
-}
+use crate::fault::NodeId;
+use crate::node::NodeResiduals;
 
 /// Worker replies, tagged with node and iteration so the coordinator can
 /// discard stale replay traffic.
@@ -84,9 +60,8 @@ pub(crate) enum Reply {
     /// A node's sub-problem rejected its inputs (e.g. NaN-poisoned
     /// replicas under unverified corruption). The worker reports the typed
     /// error and stops; the coordinator aborts the run with it instead of
-    /// respawning into the same poison. Over the socket wire this variant
-    /// is degraded to a rendered [`CoreError::NodeFailure`] (the full error
-    /// enum has no wire codec); in-process channels carry it verbatim.
+    /// respawning into the same poison. The wire codec carries the
+    /// [`CoreError::Subproblem`] a node kernel returns verbatim.
     NodeError {
         node: NodeId,
         iteration: usize,
@@ -94,173 +69,9 @@ pub(crate) enum Reply {
     },
 }
 
-/// The fault injections one worker carries: iterations at which it
-/// crash-stops, and scripted reply delays.
-pub(crate) struct FaultScript {
-    crash_iterations: Vec<usize>,
-    stragglers: Vec<(usize, Duration)>,
-}
-
-impl FaultScript {
-    /// Script for `node`, keeping only events after iteration `after`
-    /// (respawned workers must not re-fire events that already happened).
-    pub(crate) fn for_node(plan: &FaultPlan, node: NodeId, after: usize) -> Self {
-        FaultScript {
-            crash_iterations: plan
-                .crash_iterations_for(node)
-                .into_iter()
-                .filter(|&t| t > after)
-                .collect(),
-            stragglers: plan
-                .stragglers_for(node)
-                .into_iter()
-                .filter(|&(t, _)| t > after)
-                .collect(),
-        }
-    }
-
-    fn crashes_at(&self, iteration: usize) -> bool {
-        self.crash_iterations.contains(&iteration)
-    }
-
-    fn straggle(&self, iteration: usize) {
-        if let Some(&(_, delay)) = self.stragglers.iter().find(|&&(t, _)| t == iteration) {
-            std::thread::sleep(delay);
-        }
-    }
-}
-
-/// Spawns front-end `i`'s worker thread, returning its command channel and
-/// join handle. The worker loops on commands until `Finish`, a crash-stop
-/// injection, or a closed channel.
-pub(crate) fn spawn_frontend_worker(
-    i: usize,
-    mut node: FrontendNode,
-    script: FaultScript,
-    out: Sender<Reply>,
-) -> (Sender<FeCmd>, JoinHandle<()>) {
-    let (tx, rx) = channel::<FeCmd>();
-    let handle = std::thread::spawn(move || {
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                FeCmd::Predict { iteration } => {
-                    if script.crashes_at(iteration) {
-                        return; // crash-stop: die silently
-                    }
-                    script.straggle(iteration);
-                    let reply = match node.predict_lambda() {
-                        Ok(row) => Reply::Lambda { i, iteration, row },
-                        // Poisoned iterate: report the typed rejection and
-                        // stop — the coordinator aborts with it.
-                        Err(error) => Reply::NodeError {
-                            node: NodeId::Frontend(i),
-                            iteration,
-                            error,
-                        },
-                    };
-                    let failed = matches!(reply, Reply::NodeError { .. });
-                    if out.send(reply).is_err() || failed {
-                        return;
-                    }
-                }
-                FeCmd::Correct { iteration, a_row } => {
-                    let residuals = node.receive_a_and_correct(&a_row);
-                    if out
-                        .send(Reply::FeResidual {
-                            i,
-                            iteration,
-                            residuals,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                FeCmd::Snapshot { iteration } => {
-                    let blob = node.snapshot().to_bytes();
-                    if out.send(Reply::FeSnapshot { i, iteration, blob }).is_err() {
-                        return;
-                    }
-                }
-                FeCmd::Membership { datacenter, evict } => {
-                    if evict {
-                        node.set_evicted(datacenter);
-                    } else {
-                        node.clear_evicted(datacenter);
-                    }
-                }
-                FeCmd::Finish => {
-                    let _ = out.send(Reply::FeFinal {
-                        i,
-                        lambda: node.lambda().to_vec(),
-                    });
-                    return;
-                }
-            }
-        }
-    });
-    (tx, handle)
-}
-
-/// Spawns datacenter `j`'s worker thread (mirror of
-/// [`spawn_frontend_worker`]).
-pub(crate) fn spawn_datacenter_worker(
-    j: usize,
-    mut node: DatacenterNode,
-    script: FaultScript,
-    out: Sender<Reply>,
-) -> (Sender<DcCmd>, JoinHandle<()>) {
-    let (tx, rx) = channel::<DcCmd>();
-    let handle = std::thread::spawn(move || {
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                DcCmd::Process { iteration, column } => {
-                    if script.crashes_at(iteration) {
-                        return;
-                    }
-                    script.straggle(iteration);
-                    let reply = match node.process(&column) {
-                        Ok(step) => Reply::DcStep {
-                            j,
-                            iteration,
-                            a_tilde: step.a_tilde,
-                            d: step.d,
-                            residuals: step.residuals,
-                        },
-                        Err(error) => Reply::NodeError {
-                            node: NodeId::Datacenter(j),
-                            iteration,
-                            error,
-                        },
-                    };
-                    let failed = matches!(reply, Reply::NodeError { .. });
-                    if out.send(reply).is_err() || failed {
-                        return;
-                    }
-                }
-                DcCmd::Snapshot { iteration } => {
-                    let blob = node.snapshot().to_bytes();
-                    if out.send(Reply::DcSnapshot { j, iteration, blob }).is_err() {
-                        return;
-                    }
-                }
-                DcCmd::Finish => {
-                    let _ = out.send(Reply::DcFinal {
-                        j,
-                        mu: node.mu(),
-                        d: node.d(),
-                    });
-                    return;
-                }
-            }
-        }
-    });
-    (tx, handle)
-}
-
 /// Hard cap on ladder restarts granted to silent-but-running workers. At
 /// 1000 restarts of the full ladder a worker is treated as wedged and
-/// returned as missing regardless of thread liveness.
+/// returned as missing regardless of worker liveness.
 const MAX_EXTENSIONS: u32 = 1000;
 
 /// Waits for the pending nodes' replies with an exponential-backoff ladder.
@@ -268,7 +79,7 @@ const MAX_EXTENSIONS: u32 = 1000;
 /// Each rung of the ladder is a fixed *phase deadline* (`base_timeout`
 /// doubled per rung, `rounds` rungs): timely replies drain the queue but
 /// never push the deadline out, so a trickle of replies cannot stretch the
-/// wait. When the ladder is exhausted, any pending node whose thread has
+/// wait. When the ladder is exhausted, any pending node whose worker has
 /// actually exited (`alive` is false) is immediately returned as
 /// suspected-dead, in deterministic node order — a live straggler elsewhere
 /// in the pending set does not delay that verdict. Silent-but-running
@@ -278,9 +89,10 @@ const MAX_EXTENSIONS: u32 = 1000;
 /// # Worst-case bound
 ///
 /// One ladder blocks for at most `Σ_{r<rounds} base_timeout·2^r =
-/// base_timeout·(2^rounds − 1)` — i.e. [`FaultPlan::ladder_seconds`] —
-/// *independent of how many replies arrive*. A dead node is therefore
-/// declared within one ladder of the moment its thread exits; with `E`
+/// base_timeout·(2^rounds − 1)` — i.e.
+/// [`crate::fault::FaultPlan::ladder_seconds`] — *independent of how many
+/// replies arrive*. A dead node is therefore declared within one ladder of
+/// the moment its worker exits; with `E`
 /// ladder extensions granted to live stragglers the total wait is at most
 /// `(1 + E)` ladders, `E ≤ MAX_EXTENSIONS`.
 pub(crate) fn gather_phase(
@@ -316,7 +128,7 @@ pub(crate) fn gather_phase(
                     deadline = Instant::now() + wait;
                     continue;
                 }
-                // Ladder exhausted: declare exited threads dead right away.
+                // Ladder exhausted: declare exited workers dead right away.
                 let dead: Vec<NodeId> = pending.iter().copied().filter(|&n| !alive(n)).collect();
                 if !dead.is_empty() {
                     for node in &dead {

@@ -1,6 +1,7 @@
-//! Session-layer framing of the multi-process socket runtime.
+//! Session-layer framing of the supervised runtimes.
 //!
-//! Everything a coordinator and a worker process exchange travels as a
+//! Everything a coordinator and a worker exchange — over TCP for worker
+//! processes, over an in-memory pipe for `Runtime::Threaded` — travels as a
 //! *wire frame*: a little-endian `u32` length prefix followed by a
 //! self-verifying payload `[WIRE_MAGIC, kind, body (LE fields), crc32]`.
 //! The length prefix lets [`FrameBuffer`] reassemble frames from the
@@ -17,12 +18,11 @@
 //!   (instance + settings + block activation), from which the worker builds
 //!   its hosted node kernels exactly as the in-process engines do.
 //! * `Cmd` — a node-addressed command (predict/correct/process/snapshot/
-//!   membership/restore/finish), the socket spelling of the supervised
-//!   runtime's `FeCmd`/`DcCmd`.
+//!   membership/restore/finish).
 //! * `Reply` — a worker reply, decoded straight into the supervision
-//!   layer's `Reply` so the coordinator's gather machinery
-//!   (`supervision::gather_phase`) is shared verbatim with the threaded
-//!   engine.
+//!   layer's `Reply` that the coordinator's `supervision::gather_phase`
+//!   ladder drains. A node's typed rejection carries its
+//!   [`CoreError::Subproblem`] losslessly.
 //! * `Shutdown` — orderly teardown.
 //!
 //! All `f64` fields travel as exact little-endian bit patterns, so a value
@@ -31,14 +31,16 @@
 
 use std::fmt;
 
-use ufc_core::CoreError;
+use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError, SubproblemMethod};
+use ufc_linalg::LinalgError;
 use ufc_model::{EmissionCostFn, QueueingCost, StorageParams, UfcInstance};
+use ufc_opt::OptError;
 
+use crate::codec::{corrupt, get_f64, get_u32, get_u64, take};
 use crate::fault::NodeId;
 use crate::message::crc32;
 use crate::node::NodeResiduals;
 use crate::supervision::Reply;
-use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, SubproblemMethod};
 
 /// First payload byte of every wire frame (distinct from
 /// [`crate::message::FRAME_MAGIC`] so the two framings cannot be confused).
@@ -57,10 +59,6 @@ pub const MAX_WIRE_FRAME_BYTES: usize = 4 * 1024 * 1024;
 /// payload; keeps a corrupted inner length from allocating gigabytes even
 /// when the outer frame passed its size check.
 const MAX_VEC_LEN: usize = MAX_WIRE_FRAME_BYTES / 8;
-
-fn corrupt(context: String) -> CoreError {
-    CoreError::corrupt_payload("wire", 0, context)
-}
 
 /// Wraps a payload in the on-stream framing: `[len u32 LE][payload]`.
 ///
@@ -145,15 +143,6 @@ impl FrameBuffer {
 
 // ---- cursor readers (typed errors, never a panic) -----------------------
 
-fn take<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], CoreError> {
-    let end = *pos + N;
-    let slice = bytes
-        .get(*pos..end)
-        .ok_or_else(|| corrupt(format!("payload truncated at byte {pos}")))?;
-    *pos = end;
-    <[u8; N]>::try_from(slice).map_err(|_| corrupt(format!("payload truncated at byte {pos}")))
-}
-
 fn get_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, CoreError> {
     Ok(take::<1>(bytes, pos)?[0])
 }
@@ -164,18 +153,6 @@ fn get_bool(bytes: &[u8], pos: &mut usize) -> Result<bool, CoreError> {
         1 => Ok(true),
         other => Err(corrupt(format!("bad boolean byte {other}"))),
     }
-}
-
-fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<usize, CoreError> {
-    Ok(u32::from_le_bytes(take::<4>(bytes, pos)?) as usize)
-}
-
-fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, CoreError> {
-    Ok(u64::from_le_bytes(take::<8>(bytes, pos)?))
-}
-
-fn get_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, CoreError> {
-    Ok(f64::from_le_bytes(take::<8>(bytes, pos)?))
 }
 
 fn get_f64s(bytes: &[u8], pos: &mut usize) -> Result<Vec<f64>, CoreError> {
@@ -229,6 +206,122 @@ fn put_blob(buf: &mut Vec<u8>, blob: &[u8]) {
 
 fn put_bool(buf: &mut Vec<u8>, v: bool) {
     buf.push(u8::from(v));
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_blob(buf, s.as_bytes());
+}
+
+fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String, CoreError> {
+    String::from_utf8(get_blob(bytes, pos)?).map_err(|_| corrupt("string is not UTF-8".to_owned()))
+}
+
+/// Encodes a node's typed rejection. [`CoreError::Subproblem`] — the only
+/// error a node kernel returns — travels losslessly, so a poisoned node
+/// fails identically on every runtime; any other error is shipped
+/// rendered and decodes as a [`CoreError::NodeFailure`] around the text.
+fn put_node_error(buf: &mut Vec<u8>, error: &CoreError) {
+    let CoreError::Subproblem { which, source } = error else {
+        buf.push(1);
+        put_str(buf, &error.to_string());
+        return;
+    };
+    buf.push(0);
+    put_str(buf, which);
+    match source {
+        OptError::MaxIterations {
+            iterations,
+            residual,
+        } => {
+            buf.push(0);
+            put_u64(buf, *iterations as u64);
+            put_f64(buf, *residual);
+        }
+        OptError::Infeasible { context } => {
+            buf.push(1);
+            put_str(buf, context);
+        }
+        OptError::InvalidInput { context } => {
+            buf.push(2);
+            put_str(buf, context);
+        }
+        OptError::Linalg(inner) => {
+            buf.push(3);
+            match inner {
+                LinalgError::DimensionMismatch { context } => {
+                    buf.push(0);
+                    put_str(buf, context);
+                }
+                LinalgError::Singular { pivot } => {
+                    buf.push(1);
+                    put_u64(buf, *pivot as u64);
+                }
+                LinalgError::NotPositiveDefinite { pivot, value } => {
+                    buf.push(2);
+                    put_u64(buf, *pivot as u64);
+                    put_f64(buf, *value);
+                }
+                LinalgError::NotSquare { rows, cols } => {
+                    buf.push(3);
+                    put_u64(buf, *rows as u64);
+                    put_u64(buf, *cols as u64);
+                }
+            }
+        }
+    }
+}
+
+/// Decodes [`put_node_error`]'s encoding.
+fn get_node_error(
+    bytes: &[u8],
+    pos: &mut usize,
+    node: NodeId,
+    iteration: usize,
+) -> Result<CoreError, CoreError> {
+    match get_u8(bytes, pos)? {
+        0 => {}
+        1 => {
+            let rendered = get_str(bytes, pos)?;
+            return Ok(CoreError::node_failure(
+                node.to_string(),
+                iteration,
+                rendered,
+            ));
+        }
+        other => return Err(corrupt(format!("unknown node error tag {other}"))),
+    }
+    let which = get_str(bytes, pos)?;
+    let source = match get_u8(bytes, pos)? {
+        0 => OptError::MaxIterations {
+            iterations: get_u64(bytes, pos)? as usize,
+            residual: get_f64(bytes, pos)?,
+        },
+        1 => OptError::Infeasible {
+            context: get_str(bytes, pos)?,
+        },
+        2 => OptError::InvalidInput {
+            context: get_str(bytes, pos)?,
+        },
+        3 => OptError::Linalg(match get_u8(bytes, pos)? {
+            0 => LinalgError::DimensionMismatch {
+                context: get_str(bytes, pos)?,
+            },
+            1 => LinalgError::Singular {
+                pivot: get_u64(bytes, pos)? as usize,
+            },
+            2 => LinalgError::NotPositiveDefinite {
+                pivot: get_u64(bytes, pos)? as usize,
+                value: get_f64(bytes, pos)?,
+            },
+            3 => LinalgError::NotSquare {
+                rows: get_u64(bytes, pos)? as usize,
+                cols: get_u64(bytes, pos)? as usize,
+            },
+            other => return Err(corrupt(format!("unknown linalg error tag {other}"))),
+        }),
+        other => return Err(corrupt(format!("unknown solver error tag {other}"))),
+    };
+    Ok(CoreError::Subproblem { which, source })
 }
 
 // ---- transport authentication -------------------------------------------
@@ -593,10 +686,9 @@ pub(crate) fn verify_auth_hello(
 
 // ---- protocol frames ----------------------------------------------------
 
-/// A node-addressed command from the coordinator to a worker process — the
-/// socket spelling of the supervised runtime's `FeCmd`/`DcCmd`, plus the
-/// `Restore` verb checkpoint-restart needs when the node kernel lives in
-/// another process.
+/// A node-addressed command from the coordinator to a worker, including
+/// the `Restore` verb checkpoint-restart needs because the node kernel
+/// lives in the worker.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum NodeCmd {
     /// Run the λ prediction for `iteration` (front-end nodes).
@@ -794,10 +886,6 @@ impl WireFrame {
                     iteration,
                     error,
                 } => {
-                    // The error enum itself has no wire codec; ship the
-                    // rendered message. Decode rebuilds a typed
-                    // `CoreError::NodeFailure` around it (documented on the
-                    // variant).
                     buf.push(7);
                     let (kind, index) = match node {
                         NodeId::Frontend(i) => (0u8, *i),
@@ -806,7 +894,7 @@ impl WireFrame {
                     buf.push(kind);
                     put_u32(&mut buf, index);
                     put_u64(&mut buf, *iteration as u64);
-                    put_blob(&mut buf, error.to_string().as_bytes());
+                    put_node_error(&mut buf, error);
                 }
             },
             WireFrame::Shutdown => {}
@@ -954,12 +1042,10 @@ impl WireFrame {
                             }
                         };
                         let iteration = get_u64(body, &mut pos)? as usize;
-                        let rendered = String::from_utf8(get_blob(body, &mut pos)?)
-                            .map_err(|_| corrupt("node error message is not UTF-8".to_owned()))?;
                         Reply::NodeError {
                             node,
                             iteration,
-                            error: CoreError::node_failure(node.to_string(), iteration, rendered),
+                            error: get_node_error(body, &mut pos, node, iteration)?,
                         }
                     }
                     other => return Err(corrupt(format!("unknown reply tag {other}"))),
@@ -1511,6 +1597,56 @@ mod tests {
             let payload = frame.encode_payload();
             assert_eq!(WireFrame::decode_payload(&payload).unwrap(), frame);
         }
+    }
+
+    #[test]
+    fn node_errors_round_trip_typed() {
+        let sources = [
+            OptError::MaxIterations {
+                iterations: 500,
+                residual: 3.25e-4,
+            },
+            OptError::Infeasible {
+                context: "capacity row 2".to_owned(),
+            },
+            OptError::InvalidInput {
+                context: "non-finite linear term".to_owned(),
+            },
+            OptError::Linalg(LinalgError::DimensionMismatch {
+                context: "3x4 times 5".to_owned(),
+            }),
+            OptError::Linalg(LinalgError::Singular { pivot: 7 }),
+            OptError::Linalg(LinalgError::NotPositiveDefinite {
+                pivot: 1,
+                value: -2.5e-12,
+            }),
+            OptError::Linalg(LinalgError::NotSquare { rows: 3, cols: 4 }),
+        ];
+        for (k, source) in sources.into_iter().enumerate() {
+            let frame = WireFrame::Reply(Reply::NodeError {
+                node: NodeId::Datacenter(k),
+                iteration: 40 + k,
+                error: CoreError::Subproblem {
+                    which: format!("a[{k}]"),
+                    source,
+                },
+            });
+            let back = WireFrame::decode_payload(&frame.encode_payload()).unwrap();
+            assert_eq!(back, frame, "variant {k} must decode verbatim");
+        }
+        // Errors a node kernel never returns still travel, rendered.
+        let frame = WireFrame::Reply(Reply::NodeError {
+            node: NodeId::Frontend(1),
+            iteration: 3,
+            error: CoreError::invalid_config("odd"),
+        });
+        let WireFrame::Reply(Reply::NodeError { error, .. }) =
+            WireFrame::decode_payload(&frame.encode_payload()).unwrap()
+        else {
+            panic!("a node error must decode as a node error");
+        };
+        assert!(matches!(error, CoreError::NodeFailure { .. }), "{error:?}");
+        assert!(error.to_string().contains("odd"), "{error}");
     }
 
     #[test]

@@ -1,28 +1,30 @@
-//! The worker side of the multi-process socket runtime.
+//! The worker loop of the supervised runtimes: one session loop, many
+//! pipes.
 //!
 //! [`run_worker`] is the entire body of the `ufc-node` binary: connect to
-//! the coordinator, introduce yourself (a `Hello` wire frame), rebuild
-//! your hosted node kernels from the `RunConfig` in the `Welcome` answer,
-//! then serve node-addressed commands until every hosted node has shipped
-//! its final iterate or the coordinator says `Shutdown`.
+//! the coordinator over TCP, introduce yourself (a `Hello` wire frame),
+//! rebuild your hosted node kernels from the `RunConfig` in the `Welcome`
+//! answer, then serve node-addressed commands until every hosted node has
+//! shipped its final iterate or the coordinator says `Shutdown`.
+//! `Runtime::Threaded` runs the same session loop on in-process
+//! threads that dial an in-memory pipe instead of a TCP socket, so node
+//! command dispatch exists only here, and the clean path of every
+//! supervised runtime is bit-identical to the lockstep engine.
 //!
-//! A worker process hosts the nodes `id % processes == process` (see
+//! A worker hosts the nodes `id % processes == process` (see
 //! [`crate::wire::hosted_nodes`]): front-end kernels for `id < m`,
-//! datacenter kernels above. The command dispatch is a byte-for-byte
-//! mirror of the supervised in-process workers in `supervision.rs` — same
-//! node methods in the same order — which is what makes the socket
-//! engine's clean path bit-identical to the lockstep engine.
+//! datacenter kernels above.
 //!
 //! Failure behaviour: a dropped connection (`ECONNRESET`, EOF — e.g. the
-//! coordinator simulating a WAN partition by shutting the socket down) is
-//! answered with reconnect-with-backoff and a fresh `Hello` carrying the
-//! *same* incarnation, after which the run resumes on the new stream; the
-//! kernels live in this process and keep their state across reconnects.
-//! A worker that was really killed (`kill -9`) is respawned by the
-//! coordinator with a bumped incarnation and rebuilt from the last
-//! verified checkpoint via a `Restore` command plus command replay.
+//! coordinator simulating a WAN partition by shutting the link down) is
+//! answered with a redial and a fresh `Hello` carrying the *same*
+//! incarnation, after which the run resumes on the new link; the kernels
+//! live in the worker and keep their state across reconnects. A worker
+//! that was really killed (`kill -9`, or a severed thread whose redial is
+//! refused) is respawned by the coordinator with a bumped incarnation and
+//! rebuilt from the last verified checkpoint via a `Restore` command plus
+//! command replay.
 
-use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
@@ -31,6 +33,7 @@ use ufc_core::CoreError;
 
 use crate::fault::NodeId;
 use crate::node::{DatacenterNode, FrontendNode};
+use crate::pipe::Link;
 use crate::snapshot::{DatacenterSnapshot, FrontendSnapshot};
 use crate::supervision::Reply;
 use crate::wire::{
@@ -52,8 +55,7 @@ const BACKOFF_CAP: Duration = Duration::from_millis(500);
 /// only prevents a livelock on a link that corrupts everything.
 const NAK_BUDGET: usize = 4096;
 
-/// One hosted node kernel: the worker-side spelling of the supervised
-/// runtime's per-thread node ownership.
+/// One hosted node kernel.
 // Both kernels are boxed: each carries per-node solver workspaces that
 // would otherwise bloat every enum slot to the largest kernel's size.
 enum Hosted {
@@ -65,7 +67,7 @@ fn io_failure(process: usize, context: &str, err: &std::io::Error) -> CoreError 
     CoreError::node_failure(format!("worker-{process}"), 0, format!("{context}: {err}"))
 }
 
-fn connect_with_backoff(addr: &str, process: usize) -> Result<TcpStream, CoreError> {
+fn connect_with_backoff(addr: &str, process: usize) -> Result<Link, CoreError> {
     let mut delay = BACKOFF_START;
     let mut last: Option<std::io::Error> = None;
     for _ in 0..CONNECT_ATTEMPTS {
@@ -74,7 +76,7 @@ fn connect_with_backoff(addr: &str, process: usize) -> Result<TcpStream, CoreErr
                 stream
                     .set_nodelay(true)
                     .map_err(|e| io_failure(process, "set_nodelay", &e))?;
-                return Ok(stream);
+                return Ok(Link::Tcp(stream));
             }
             Err(e) => {
                 last = Some(e);
@@ -93,11 +95,11 @@ fn connect_with_backoff(addr: &str, process: usize) -> Result<TcpStream, CoreErr
     ))
 }
 
-/// A live session: the stream, its reassembly buffer, and the per-
+/// A live session: the link, its reassembly buffer, and the per-
 /// connection wire-chaos recovery state (duplicate suppression, reply
 /// cache for coordinator Naks, Nak budget).
 struct Session {
-    stream: TcpStream,
+    stream: Link,
     frames: FrameBuffer,
     /// Raw payload bytes of the previously delivered frame. A chaos
     /// `FrameDuplicate` arrives as two byte-identical back-to-back frames;
@@ -112,18 +114,18 @@ struct Session {
 }
 
 impl Session {
-    /// Connects (with backoff) and performs the handshake: a plain `Hello`
-    /// without a key, or the challenge–response exchange with one. Returns
-    /// the session plus the run-config digest the coordinator committed to
-    /// in its challenge (checked against the `Welcome` later).
+    /// Dials and performs the handshake: a plain `Hello` without a key, or
+    /// the challenge–response exchange with one. Returns the session plus
+    /// the run-config digest the coordinator committed to in its challenge
+    /// (checked against the `Welcome` later).
     fn establish(
-        addr: &str,
+        dial: &dyn Fn() -> Result<Link, CoreError>,
         process: usize,
         session: u64,
         incarnation: u32,
         auth: Option<&AuthKey>,
     ) -> Result<(Session, Option<[u8; 32]>), CoreError> {
-        let stream = connect_with_backoff(addr, process)?;
+        let stream = dial()?;
         let mut link = Session {
             stream,
             frames: FrameBuffer::new(),
@@ -204,7 +206,7 @@ impl Session {
             let n = self
                 .stream
                 .read(&mut chunk)
-                .map_err(|e| io_failure(process, "socket read", &e))?;
+                .map_err(|e| io_failure(process, "link read", &e))?;
             if n == 0 {
                 if self.frames.pending_bytes() > 0 {
                     return Err(CoreError::corrupt_payload(
@@ -234,8 +236,7 @@ impl Session {
     fn send_raw(&mut self, bytes: &[u8], process: usize) -> Result<(), CoreError> {
         self.stream
             .write_all(bytes)
-            .and_then(|()| self.stream.flush())
-            .map_err(|e| io_failure(process, "socket write", &e))
+            .map_err(|e| io_failure(process, "link write", &e))
     }
 }
 
@@ -267,10 +268,8 @@ fn build_nodes(config: &RunConfig, process: usize) -> Vec<(usize, Hosted)> {
         .collect()
 }
 
-/// Dispatches one command to the addressed hosted node; mirrors the
-/// supervised worker loops in `supervision.rs` verb for verb. Returns the
-/// reply to ship, or `None` for fire-and-forget verbs (membership,
-/// restore).
+/// Dispatches one command to the addressed hosted node. Returns the reply
+/// to ship, or `None` for fire-and-forget verbs (membership, restore).
 fn dispatch(
     node_id: usize,
     hosted: &mut Hosted,
@@ -393,33 +392,48 @@ pub fn run_worker(
     incarnation: u32,
     auth: Option<&AuthKey>,
 ) -> Result<(), CoreError> {
+    serve(
+        &|| connect_with_backoff(addr, process),
+        process,
+        session,
+        incarnation,
+        auth,
+    )
+}
+
+/// The worker session loop over whatever link `dial` opens — a TCP
+/// connection for [`run_worker`], an in-memory pipe for a worker thread.
+/// `dial` is called again after every dropped link.
+///
+/// # Errors
+///
+/// As for [`run_worker`], plus `dial`'s own error when it refuses.
+pub(crate) fn serve(
+    dial: &dyn Fn() -> Result<Link, CoreError>,
+    process: usize,
+    session: u64,
+    incarnation: u32,
+    auth: Option<&AuthKey>,
+) -> Result<(), CoreError> {
     let (mut link, mut expected_digest) =
-        Session::establish(addr, process, session, incarnation, auth)?;
+        Session::establish(dial, process, session, incarnation, auth)?;
     let mut nodes: Vec<(usize, Hosted)> = Vec::new();
     let mut finished = 0usize;
     loop {
         let frame = match link.next_frame(process) {
             Ok(Some(frame)) => frame,
-            Ok(None) => {
+            // EOF or a read error (ECONNRESET and friends); anything else
+            // (a corrupt frame) is fatal.
+            Ok(None) | Err(CoreError::NodeFailure { .. }) => {
                 if !nodes.is_empty() && finished == nodes.len() {
-                    // All hosted nodes shipped their finals; an EOF now is
+                    // All hosted nodes shipped their finals; a drop now is
                     // an orderly coordinator teardown.
                     return Ok(());
                 }
                 // Mid-run drop (partition simulation or coordinator
                 // hiccup): reconnect and re-introduce ourselves.
                 (link, expected_digest) =
-                    Session::establish(addr, process, session, incarnation, auth)?;
-                continue;
-            }
-            // Read errors (ECONNRESET and friends) take the same recovery
-            // path as EOF; anything else (corrupt frame) is fatal.
-            Err(CoreError::NodeFailure { .. }) => {
-                if !nodes.is_empty() && finished == nodes.len() {
-                    return Ok(());
-                }
-                (link, expected_digest) =
-                    Session::establish(addr, process, session, incarnation, auth)?;
+                    Session::establish(dial, process, session, incarnation, auth)?;
                 continue;
             }
             Err(err) => return Err(err),

@@ -79,8 +79,10 @@ impl SizeLeg {
     }
 }
 
-/// Per-iteration latency of the multi-process socket engine next to the
-/// in-memory threaded engine, measured on one paper-default hour.
+/// Per-iteration latency of the multi-process socket engine next to
+/// `Runtime::Threaded` — the same coordinator and worker loop over
+/// in-memory pipes — measured on one paper-default hour, so the ratio is
+/// what TCP plus OS processes cost over pipes plus threads.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketLatency {
     /// Threaded-engine wall-clock (milliseconds).

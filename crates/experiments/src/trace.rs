@@ -23,8 +23,9 @@ pub enum TraceEngine {
     InProcess,
     /// The distributed lockstep engine (solver + traffic counters).
     Lockstep,
-    /// The supervised threaded engine (traffic counters; the per-node
-    /// kernels die with their worker threads, so solver counters read 0).
+    /// `Runtime::Threaded`: the socket coordinator with its workers as
+    /// threads over in-memory pipes (traffic counters; the per-node
+    /// kernels live in the worker threads, so solver counters read 0).
     Threaded,
     /// The lockstep engine under a scripted [`FaultPlan`] (solver +
     /// traffic + fault counters).

@@ -15,7 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inst = &scenario.instances[0];
     let settings = AdmgSettings::default();
 
-    // Distributed protocol over OS threads and mpsc channels (one per node).
+    // Distributed protocol: one worker thread per node, talking wire frames
+    // to a supervising coordinator over in-memory pipes.
     let report = DistributedAdmg::new(settings).run(inst, Strategy::Hybrid, Runtime::Threaded)?;
     println!(
         "distributed run: {} iterations, UFC = {:.2} $",
